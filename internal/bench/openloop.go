@@ -42,10 +42,6 @@ type OpenLoopReport struct {
 	RateRS     float64              `json:"rate_req_s"`
 	DurationNs int64                `json:"duration_ns"`
 	Rows       []OpenLoopWorkersRow `json:"rows"`
-	// FaultRate is the raw fault-throughput headline (see CollectFaultRate):
-	// wall-clock faults/sec/core on the fault → cache → fabric hot path,
-	// measured outside the engine at the highest worker count of Rows.
-	FaultRate *FaultRateReport `json:"fault_rate,omitempty"`
 }
 
 // openLoopConfig returns the load-generation parameters of the worker
@@ -108,16 +104,5 @@ func CollectOpenLoop(scale float64, workerCounts []int) (OpenLoopReport, error) 
 			P99Ns:        int64(res.Percentile(0.99)),
 		})
 	}
-	maxWorkers := 1
-	for _, w := range workerCounts {
-		if w > maxWorkers {
-			maxWorkers = w
-		}
-	}
-	fr, err := CollectFaultRate(maxWorkers, scaleInt(4096, scale))
-	if err != nil {
-		return rep, fmt.Errorf("fault rate: %w", err)
-	}
-	rep.FaultRate = &fr
 	return rep, nil
 }

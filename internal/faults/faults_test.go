@@ -44,6 +44,18 @@ func (f *fakeTransport) Call(m *simtime.Meter, target memsim.MachineID, endpoint
 	return []byte("ok"), f.op()
 }
 
+func (f *fakeTransport) ReadPagesCat(m *simtime.Meter, cat simtime.Category, target memsim.MachineID, reqs []rdma.PageRead) error {
+	return f.op()
+}
+
+func (f *fakeTransport) WritePagesCat(m *simtime.Meter, cat simtime.Category, target memsim.MachineID, reqs []rdma.PageWrite) error {
+	return f.op()
+}
+
+func (f *fakeTransport) CallCat(m *simtime.Meter, cat simtime.Category, target memsim.MachineID, endpoint string, req []byte) ([]byte, error) {
+	return []byte("ok"), f.op()
+}
+
 func faultPattern(in *Injector, n int) string {
 	out := ""
 	for i := 0; i < n; i++ {

@@ -8,27 +8,6 @@ import (
 	"rmmap/internal/simtime"
 )
 
-// callCatTransport is the optional fast-path interface NICs expose for
-// category-attributed RPCs (see rdma.NIC.CallCat). Both wrappers preserve
-// it so kernel code that interface-upgrades keeps working through them.
-type callCatTransport interface {
-	CallCat(m *simtime.Meter, cat simtime.Category, target memsim.MachineID, endpoint string, req []byte) ([]byte, error)
-}
-
-// readPagesCatTransport is the optional interface for category-attributed
-// doorbell batches (see rdma.NIC.ReadPagesCat); the wrappers preserve it so
-// the kernel's readahead stays attributed through chaos transports.
-type readPagesCatTransport interface {
-	ReadPagesCat(m *simtime.Meter, cat simtime.Category, target memsim.MachineID, reqs []rdma.PageRead) error
-}
-
-// writePagesCatTransport is the optional interface for category-attributed
-// write batches (see rdma.NIC.WritePagesCat); preserved so replication
-// pushes stay attributed to CatReplicate through chaos transports.
-type writePagesCatTransport interface {
-	WritePagesCat(m *simtime.Meter, cat simtime.Category, target memsim.MachineID, reqs []rdma.PageWrite) error
-}
-
 // FaultFabric wraps an rdma.Transport and consults an Injector before every
 // operation, so SimFabric and TCPFabric NICs gain fault injection without
 // modification. Remote operations to a previously uncontacted machine also
@@ -93,18 +72,10 @@ func (f *FaultFabric) Read(m *simtime.Meter, target memsim.MachineID, pfn memsim
 
 // ReadPages implements rdma.Transport.
 func (f *FaultFabric) ReadPages(m *simtime.Meter, target memsim.MachineID, reqs []rdma.PageRead) error {
-	if err := f.gate(target); err != nil {
-		return err
-	}
-	if target != f.inner.Owner() {
-		if err := f.inj.Check(SiteDoorbell, target, f.inner.Owner(), ""); err != nil {
-			return err
-		}
-	}
-	return f.inner.ReadPages(m, target, reqs)
+	return f.ReadPagesCat(m, simtime.CatFault, target, reqs)
 }
 
-// ReadPagesCat forwards category-attributed batches through the same gates.
+// ReadPagesCat implements rdma.Transport.
 func (f *FaultFabric) ReadPagesCat(m *simtime.Meter, cat simtime.Category, target memsim.MachineID, reqs []rdma.PageRead) error {
 	if err := f.gate(target); err != nil {
 		return err
@@ -114,27 +85,15 @@ func (f *FaultFabric) ReadPagesCat(m *simtime.Meter, cat simtime.Category, targe
 			return err
 		}
 	}
-	if rp, ok := f.inner.(readPagesCatTransport); ok {
-		return rp.ReadPagesCat(m, cat, target, reqs)
-	}
-	return f.inner.ReadPages(m, target, reqs)
+	return f.inner.ReadPagesCat(m, cat, target, reqs)
 }
 
 // WritePages implements rdma.Transport.
 func (f *FaultFabric) WritePages(m *simtime.Meter, target memsim.MachineID, reqs []rdma.PageWrite) error {
-	if err := f.gate(target); err != nil {
-		return err
-	}
-	if target != f.inner.Owner() {
-		if err := f.inj.Check(SiteRDMAWrite, target, f.inner.Owner(), ""); err != nil {
-			return err
-		}
-	}
-	return f.inner.WritePages(m, target, reqs)
+	return f.WritePagesCat(m, simtime.CatReplicate, target, reqs)
 }
 
-// WritePagesCat forwards category-attributed write batches through the
-// same gates.
+// WritePagesCat implements rdma.Transport.
 func (f *FaultFabric) WritePagesCat(m *simtime.Meter, cat simtime.Category, target memsim.MachineID, reqs []rdma.PageWrite) error {
 	if err := f.gate(target); err != nil {
 		return err
@@ -144,26 +103,15 @@ func (f *FaultFabric) WritePagesCat(m *simtime.Meter, cat simtime.Category, targ
 			return err
 		}
 	}
-	if wp, ok := f.inner.(writePagesCatTransport); ok {
-		return wp.WritePagesCat(m, cat, target, reqs)
-	}
-	return f.inner.WritePages(m, target, reqs)
+	return f.inner.WritePagesCat(m, cat, target, reqs)
 }
 
 // Call implements rdma.Transport.
 func (f *FaultFabric) Call(m *simtime.Meter, target memsim.MachineID, endpoint string, req []byte) ([]byte, error) {
-	if err := f.gate(target); err != nil {
-		return nil, err
-	}
-	if target != f.inner.Owner() {
-		if err := f.inj.Check(SiteRPC, target, f.inner.Owner(), endpoint); err != nil {
-			return nil, err
-		}
-	}
-	return f.inner.Call(m, target, endpoint, req)
+	return f.CallCat(m, simtime.CatMap, target, endpoint, req)
 }
 
-// CallCat forwards category-attributed RPCs, preserving the NIC fast path.
+// CallCat implements rdma.Transport.
 func (f *FaultFabric) CallCat(m *simtime.Meter, cat simtime.Category, target memsim.MachineID, endpoint string, req []byte) ([]byte, error) {
 	if err := f.gate(target); err != nil {
 		return nil, err
@@ -173,10 +121,7 @@ func (f *FaultFabric) CallCat(m *simtime.Meter, cat simtime.Category, target mem
 			return nil, err
 		}
 	}
-	if cc, ok := f.inner.(callCatTransport); ok {
-		return cc.CallCat(m, cat, target, endpoint, req)
-	}
-	return f.inner.Call(m, target, endpoint, req)
+	return f.inner.CallCat(m, cat, target, endpoint, req)
 }
 
 // RetryPolicy caps the retry loop of a RetryTransport.
@@ -267,59 +212,35 @@ func (r *RetryTransport) Read(m *simtime.Meter, target memsim.MachineID, pfn mem
 
 // ReadPages implements rdma.Transport.
 func (r *RetryTransport) ReadPages(m *simtime.Meter, target memsim.MachineID, reqs []rdma.PageRead) error {
-	return r.do(m, func() error { return r.inner.ReadPages(m, target, reqs) })
+	return r.ReadPagesCat(m, simtime.CatFault, target, reqs)
 }
 
-// ReadPagesCat forwards category-attributed batches with the retry policy.
+// ReadPagesCat implements rdma.Transport.
 func (r *RetryTransport) ReadPagesCat(m *simtime.Meter, cat simtime.Category, target memsim.MachineID, reqs []rdma.PageRead) error {
-	rp, ok := r.inner.(readPagesCatTransport)
-	return r.do(m, func() error {
-		if ok {
-			return rp.ReadPagesCat(m, cat, target, reqs)
-		}
-		return r.inner.ReadPages(m, target, reqs)
-	})
+	return r.do(m, func() error { return r.inner.ReadPagesCat(m, cat, target, reqs) })
 }
 
 // WritePages implements rdma.Transport.
 func (r *RetryTransport) WritePages(m *simtime.Meter, target memsim.MachineID, reqs []rdma.PageWrite) error {
-	return r.do(m, func() error { return r.inner.WritePages(m, target, reqs) })
+	return r.WritePagesCat(m, simtime.CatReplicate, target, reqs)
 }
 
-// WritePagesCat forwards category-attributed write batches with the retry
-// policy.
+// WritePagesCat implements rdma.Transport.
 func (r *RetryTransport) WritePagesCat(m *simtime.Meter, cat simtime.Category, target memsim.MachineID, reqs []rdma.PageWrite) error {
-	wp, ok := r.inner.(writePagesCatTransport)
-	return r.do(m, func() error {
-		if ok {
-			return wp.WritePagesCat(m, cat, target, reqs)
-		}
-		return r.inner.WritePages(m, target, reqs)
-	})
+	return r.do(m, func() error { return r.inner.WritePagesCat(m, cat, target, reqs) })
 }
 
 // Call implements rdma.Transport.
 func (r *RetryTransport) Call(m *simtime.Meter, target memsim.MachineID, endpoint string, req []byte) ([]byte, error) {
-	var resp []byte
-	err := r.do(m, func() error {
-		var e error
-		resp, e = r.inner.Call(m, target, endpoint, req)
-		return e
-	})
-	return resp, err
+	return r.CallCat(m, simtime.CatMap, target, endpoint, req)
 }
 
-// CallCat forwards category-attributed RPCs with the same retry policy.
+// CallCat implements rdma.Transport.
 func (r *RetryTransport) CallCat(m *simtime.Meter, cat simtime.Category, target memsim.MachineID, endpoint string, req []byte) ([]byte, error) {
-	cc, ok := r.inner.(callCatTransport)
 	var resp []byte
 	err := r.do(m, func() error {
 		var e error
-		if ok {
-			resp, e = cc.CallCat(m, cat, target, endpoint, req)
-		} else {
-			resp, e = r.inner.Call(m, target, endpoint, req)
-		}
+		resp, e = r.inner.CallCat(m, cat, target, endpoint, req)
 		return e
 	})
 	return resp, err

@@ -382,3 +382,60 @@ func TestLeaseExpiryBroadcastInvalidation(t *testing.T) {
 		t.Fatalf("lease expiries = %d, want 1", k.LeaseExpiries())
 	}
 }
+
+// TestSubPageBudgetFault: a cache budget below one page admits nothing for
+// long — every fetched page is evicted by the trim that follows its
+// install — but the address space must already hold its reference by then.
+// Evicting before the install (the old single-page order) freed the frame
+// the page table was about to map and panicked with "bad PFN".
+func TestSubPageBudgetFault(t *testing.T) {
+	const pages = 8
+	const start = uint64(0x100000)
+	end := start + pages*memsim.PageSize
+	pattern := []byte("sub-page-budget!")
+	for _, tc := range []struct {
+		name     string
+		raMax    int
+		prefetch bool
+	}{
+		{"demand", 1, false},
+		{"readahead", DefaultReadaheadMax, false},
+		{"prefetch", 1, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := newCluster(t, 2)
+			c.enableCaches(1, tc.raMax)
+			_, meta := producerSetup(t, c, 0, start, end, pattern)
+			cons := c.newAS(1)
+			mp, err := c.kernels[1].Rmap(cons, meta.Machine, meta.ID, meta.Key, meta.Start, meta.End)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.prefetch {
+				if err := mp.PrefetchRange(start, end); err != nil {
+					t.Fatal(err)
+				}
+			}
+			got := readAll(t, cons, start, end)
+			for p := 0; p < pages; p++ {
+				if page := got[p*memsim.PageSize:]; !bytes.Equal(page[:len(pattern)], pattern) {
+					t.Fatalf("page %d reads %q, want %q", p, page[:len(pattern)], pattern)
+				}
+			}
+			if tc.prefetch && cons.Faults() != 0 {
+				t.Errorf("%d faults after a full prefetch", cons.Faults())
+			}
+			if got := c.fabricPages(t); got != pages {
+				t.Errorf("fabric moved %d pages, want %d", got, pages)
+			}
+			pc := c.kernels[1].PageCache()
+			if s := pc.Stats(); pc.Len() != 0 || s.LiveBytes != 0 || s.Evictions != pages {
+				t.Errorf("cache holds %d pages, stats %+v; want empty with %d evictions", pc.Len(), s, pages)
+			}
+			cons.Release()
+			if n := c.machines[1].LiveFrames(); n != 0 {
+				t.Errorf("consumer machine leaks %d frames", n)
+			}
+		})
+	}
+}

@@ -22,9 +22,8 @@ var ErrStaleEpoch = errors.New("kernel: command from a stale coordinator epoch")
 
 // Epochs are tracked per coordinator shard (DESIGN.md §15): a shard
 // crash + recovery bumps only that shard's epoch, so its stale commands
-// fence while every other shard's commands keep flowing. The unsuffixed
-// API operates on shard 0 — exactly the single-shard (default) control
-// plane's epoch, preserving the pre-sharding behaviour.
+// fence while every other shard's commands keep flowing. The single-shard
+// (default) control plane is shard 0.
 
 // AdoptShardEpoch raises this kernel's adopted epoch for one coordinator
 // shard; lower values are ignored (epochs only move forward).
@@ -46,12 +45,6 @@ func (k *Kernel) CtrlShardEpoch(shard int) uint64 {
 	return k.ctrlEpochs[shard]
 }
 
-// AdoptEpoch raises the shard-0 epoch (single-shard control plane).
-func (k *Kernel) AdoptEpoch(epoch uint64) { k.AdoptShardEpoch(0, epoch) }
-
-// CtrlEpoch returns the highest shard-0 epoch this kernel has seen.
-func (k *Kernel) CtrlEpoch() uint64 { return k.CtrlShardEpoch(0) }
-
 // DeregisterMemFencedShard is DeregisterMem gated on the issuing shard
 // incarnation's epoch. A command from a stale epoch is refused with
 // ErrStaleEpoch; a newer epoch is adopted first (commands are implicit
@@ -70,11 +63,6 @@ func (k *Kernel) DeregisterMemFencedShard(shard int, epoch uint64, id FuncID, ke
 	}
 	k.mu.Unlock()
 	return k.DeregisterMem(id, key)
-}
-
-// DeregisterMemFenced is the shard-0 form of DeregisterMemFencedShard.
-func (k *Kernel) DeregisterMemFenced(epoch uint64, id FuncID, key Key) error {
-	return k.DeregisterMemFencedShard(0, epoch, id, key)
 }
 
 // RegListing is one live registration named by its (id, key) pair; the

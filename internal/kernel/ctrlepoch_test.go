@@ -13,18 +13,18 @@ func TestEpochFencingBlocksStaleReclaim(t *testing.T) {
 	_, meta := producerSetup(t, c, 0, 0x100000, 0x102000, []byte("fence-me"))
 	k := c.kernels[0]
 
-	k.AdoptEpoch(2)
-	if k.CtrlEpoch() != 2 {
-		t.Fatalf("CtrlEpoch = %d, want 2", k.CtrlEpoch())
+	k.AdoptShardEpoch(0, 2)
+	if k.CtrlShardEpoch(0) != 2 {
+		t.Fatalf("CtrlEpoch = %d, want 2", k.CtrlShardEpoch(0))
 	}
 	// Epochs only move forward.
-	k.AdoptEpoch(1)
-	if k.CtrlEpoch() != 2 {
-		t.Fatalf("AdoptEpoch lowered the epoch to %d", k.CtrlEpoch())
+	k.AdoptShardEpoch(0, 1)
+	if k.CtrlShardEpoch(0) != 2 {
+		t.Fatalf("AdoptEpoch lowered the epoch to %d", k.CtrlShardEpoch(0))
 	}
 
 	// A zombie pre-crash coordinator (epoch 1) cannot reclaim.
-	err := k.DeregisterMemFenced(1, meta.ID, meta.Key)
+	err := k.DeregisterMemFencedShard(0, 1, meta.ID, meta.Key)
 	if !errors.Is(err, ErrStaleEpoch) {
 		t.Fatalf("stale reclaim: err = %v, want ErrStaleEpoch", err)
 	}
@@ -33,7 +33,7 @@ func TestEpochFencingBlocksStaleReclaim(t *testing.T) {
 	}
 
 	// The current epoch reclaims normally.
-	if err := k.DeregisterMemFenced(2, meta.ID, meta.Key); err != nil {
+	if err := k.DeregisterMemFencedShard(0, 2, meta.ID, meta.Key); err != nil {
 		t.Fatalf("current-epoch reclaim: %v", err)
 	}
 	if k.Registrations() != 0 {
@@ -45,17 +45,17 @@ func TestEpochFencingAdoptsNewerFromCommand(t *testing.T) {
 	c := newCluster(t, 1)
 	_, meta := producerSetup(t, c, 0, 0x100000, 0x101000, []byte("adopt"))
 	k := c.kernels[0]
-	k.AdoptEpoch(1)
+	k.AdoptShardEpoch(0, 1)
 
 	// A command from epoch 3 is an implicit announcement: it executes and
 	// the kernel adopts 3, so epoch-2 commands are fenced afterwards.
-	if err := k.DeregisterMemFenced(3, meta.ID, meta.Key); err != nil {
+	if err := k.DeregisterMemFencedShard(0, 3, meta.ID, meta.Key); err != nil {
 		t.Fatalf("newer-epoch reclaim: %v", err)
 	}
-	if k.CtrlEpoch() != 3 {
-		t.Fatalf("CtrlEpoch = %d after epoch-3 command, want 3", k.CtrlEpoch())
+	if k.CtrlShardEpoch(0) != 3 {
+		t.Fatalf("CtrlEpoch = %d after epoch-3 command, want 3", k.CtrlShardEpoch(0))
 	}
-	if err := k.DeregisterMemFenced(2, 99, 99); !errors.Is(err, ErrStaleEpoch) {
+	if err := k.DeregisterMemFencedShard(0, 2, 99, 99); !errors.Is(err, ErrStaleEpoch) {
 		t.Fatalf("epoch-2 command after adopting 3: %v, want ErrStaleEpoch", err)
 	}
 }

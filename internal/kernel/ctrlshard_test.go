@@ -34,8 +34,8 @@ func TestShardEpochsIndependent(t *testing.T) {
 	}
 
 	// The legacy API is the shard-0 view.
-	if k.CtrlEpoch() != 1 {
-		t.Fatalf("CtrlEpoch = %d, want shard 0's 1", k.CtrlEpoch())
+	if k.CtrlShardEpoch(0) != 1 {
+		t.Fatalf("CtrlEpoch = %d, want shard 0's 1", k.CtrlShardEpoch(0))
 	}
 }
 

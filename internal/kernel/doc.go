@@ -22,4 +22,12 @@
 //     cache), which is what the obs layer's breakdowns report.
 //   - deregister_mem releases shadow references; frames free only when the
 //     last reference (local or remote cache) drops.
+//   - Every remote page arrives through one routine (Mapping.fetch): demand
+//     faults, readahead windows and Prefetch differ only in how the read is
+//     issued. With the cache on, pages are admitted, installed, and only
+//     then is the cache trimmed, so eviction never frees a frame a page
+//     table is about to map.
+//   - A machine's PageCache is one mutex over one LRU list: the engine runs
+//     a machine's invocations on one goroutine at a time, so nothing
+//     contends for it (DESIGN.md §12).
 package kernel

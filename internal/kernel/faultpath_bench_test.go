@@ -157,9 +157,11 @@ func BenchmarkFaultPath(b *testing.B) {
 
 // BenchmarkFaultPathParallel measures cross-machine lock contention on the
 // shared producer: GOMAXPROCS consumer machines fault the same registered
-// range concurrently, so the producer's frame table and the fabric
-// telemetry are hammered from every goroutine at once. Sharded locks and
-// atomic counters are what keep this from convoying.
+// range concurrently. Each goroutine owns its consumer machine, kernel and
+// page cache — as a worker group does in the engine — so only the
+// producer's frame table and the fabric telemetry are hammered from every
+// goroutine at once. The frame-lock shards and atomic counters are what
+// keep that from convoying.
 func BenchmarkFaultPathParallel(b *testing.B) {
 	workers := runtime.GOMAXPROCS(0)
 	if workers < 2 {

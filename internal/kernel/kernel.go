@@ -177,18 +177,18 @@ func New(m *memsim.Machine, t rdma.Transport, cm *simtime.CostModel) *Kernel {
 func (k *Kernel) Machine() *memsim.Machine { return k.machine }
 
 // EnablePageCache turns on the machine-level remote page cache with the
-// given byte budget; budget ≤ 0 disables it (dropping any cached frames).
+// given byte budget; budget ≤ 0 disables it. Either way the frames of any
+// previous cache are released first.
 func (k *Kernel) EnablePageCache(budget int64) {
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	if budget <= 0 {
-		if k.pcache != nil {
-			k.pcache.invalidate(func(cacheKey) bool { return true })
-		}
-		k.pcache = nil
-		return
+	if k.pcache != nil {
+		k.pcache.clear()
 	}
-	k.pcache = NewPageCache(k.machine, budget)
+	k.pcache = nil
+	if budget > 0 {
+		k.pcache = NewPageCache(k.machine, budget)
+	}
 }
 
 // PageCache returns the machine's remote page cache (nil when disabled).

@@ -254,7 +254,7 @@ func (k *Kernel) Heartbeat(peer memsim.MachineID) error {
 	if len(certs) > 0 {
 		req = encodeCerts(certs)
 	}
-	resp, err := k.callCat(m, simtime.CatHeartbeat, peer, LeaseEndpoint, req)
+	resp, err := k.transport.CallCat(m, simtime.CatHeartbeat, peer, LeaseEndpoint, req)
 	if err != nil {
 		k.ProbeFailed(peer, err)
 		return err
@@ -288,15 +288,4 @@ func (k *Kernel) handleLease(m *simtime.Meter, req []byte) ([]byte, error) {
 	binary.LittleEndian.PutUint64(resp, gen)
 	resp = append(resp, encodeCerts(certs)...)
 	return resp, nil
-}
-
-// callCat routes an RPC through the transport's category-attributed fast
-// path when available (preserved by the chaos wrappers).
-func (k *Kernel) callCat(m *simtime.Meter, cat simtime.Category, target memsim.MachineID, endpoint string, req []byte) ([]byte, error) {
-	if cc, ok := k.transport.(interface {
-		CallCat(*simtime.Meter, simtime.Category, memsim.MachineID, string, []byte) ([]byte, error)
-	}); ok {
-		return cc.CallCat(m, cat, target, endpoint, req)
-	}
-	return k.transport.Call(m, target, endpoint, req)
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sync"
 
 	"rmmap/internal/memsim"
 	"rmmap/internal/rdma"
@@ -22,27 +21,6 @@ const (
 	// (the paper reports a 62.2% slowdown without it).
 	PagingRPC
 )
-
-// pageBufPool recycles page-sized staging buffers for the cold paths that
-// still stage bytes before a frame write (replication pushes). The fault
-// hot path no longer stages at all: fabric reads land directly in the
-// destination frame via Machine.BorrowFrame (DESIGN.md §12).
-var pageBufPool = sync.Pool{
-	New: func() any {
-		b := make([]byte, memsim.PageSize)
-		return &b
-	},
-}
-
-func getPageBuf() *[]byte  { return pageBufPool.Get().(*[]byte) }
-func putPageBuf(b *[]byte) { pageBufPool.Put(b) }
-
-// readPagesCatTransport is the optional interface for category-attributed
-// doorbell batches (rdma.NIC.ReadPagesCat); readahead batches fall back to
-// plain ReadPages (CatFault) on transports that lack it.
-type readPagesCatTransport interface {
-	ReadPagesCat(m *simtime.Meter, cat simtime.Category, target memsim.MachineID, reqs []rdma.PageRead) error
-}
 
 // Mapping is a live rmap: the producer's [Start, End) mapped into a
 // consumer address space.
@@ -79,13 +57,13 @@ type Mapping struct {
 	raWindow int
 	raNext   memsim.VPN
 
-	// Preallocated fault scratch (zero-allocation contract, DESIGN.md
-	// §12): winBuf holds the readahead window, and the four parallel
-	// slices below are the doorbell batch descriptors and install staging
-	// for it. All grow to the window cap on first use and are reused for
-	// every later batch fault of this mapping. A mapping is used by one
-	// container at a time (like its address space), so the scratch needs
-	// no locking.
+	// Preallocated fetch scratch (zero-allocation contract, DESIGN.md
+	// §12): winBuf holds the pages of one fault (the demand page plus its
+	// readahead window), and the four parallel slices below are the read
+	// descriptors and install staging for one fetch. All grow on first use
+	// and are reused by every later fetch of this mapping. A mapping is
+	// used by one container at a time (like its address space), so the
+	// scratch needs no locking.
 	winBuf []memsim.VPN
 	locals []memsim.PFN    // freshly allocated destination frames
 	rpfns  []memsim.PFN    // producer (logical) frame numbers, cache keys
@@ -93,12 +71,11 @@ type Mapping struct {
 	reqs   []rdma.PageRead // doorbell batch descriptors
 }
 
-// ensureScratch sizes the batch scratch for an n-page window.
+// ensureScratch sizes the fetch scratch for n pages.
 func (mp *Mapping) ensureScratch(n int) {
 	if cap(mp.locals) < n {
-		mp.locals = make([]memsim.PFN, 0, n)
-		mp.rpfns = make([]memsim.PFN, 0, n)
-		mp.canon = make([]memsim.PFN, n)
+		pfns := make([]memsim.PFN, 3*n) // one backing array for the three
+		mp.locals, mp.rpfns, mp.canon = pfns[:0:n], pfns[n:n:2*n], pfns[2*n:]
 		mp.reqs = make([]rdma.PageRead, 0, n)
 	}
 	mp.locals = mp.locals[:0]
@@ -299,7 +276,7 @@ func (mp *Mapping) revalidate(meter *simtime.Meter) error {
 	binary.LittleEndian.PutUint64(req[16:], mp.Start)
 	binary.LittleEndian.PutUint64(req[24:], mp.End)
 	binary.LittleEndian.PutUint64(req[32:], uint64(mp.consumer))
-	resp, err := mp.k.callCat(meter, simtime.CatHeartbeat, mp.target, AuthEndpoint, req)
+	resp, err := mp.k.transport.CallCat(meter, simtime.CatHeartbeat, mp.target, AuthEndpoint, req)
 	if err != nil {
 		mp.k.ProbeFailed(mp.target, err)
 		if errors.Is(err, memsim.ErrMachineCrashed) && mp.mode == PagingRDMA && len(mp.backups) > 0 {
@@ -330,9 +307,8 @@ func (mp *Mapping) cacheable() bool {
 // fault resolves one page. Pages the producer never touched are zero-filled
 // privately. Remote pages consult the machine's page cache first: a hit
 // installs the cached frame CoW-shared (zero-copy; the first write breaks
-// CoW). A miss fetches the page — coalescing a window of adjacent
-// not-yet-present pages into one doorbell batch when the fault stream looks
-// sequential — and inserts the fetched frames into the cache.
+// CoW). A miss fetches the page — together with a window of adjacent
+// not-yet-present pages when the fault stream looks sequential.
 func (mp *Mapping) fault(as *memsim.AddressSpace, vaddr uint64, ft memsim.FaultType) error {
 	meter := as.Meter()
 	meter.Charge(simtime.CatFault, mp.k.cm.PageFault)
@@ -360,6 +336,7 @@ func (mp *Mapping) fault(as *memsim.AddressSpace, vaddr uint64, ft memsim.FaultT
 		}
 	}
 
+	pages := 1 // readahead widens the fetch beyond the demand page
 	if mp.target != as.Machine().ID() && mp.mode == PagingRDMA && mp.k.raMax > 1 {
 		if vpn == mp.raNext && mp.raWindow >= 1 {
 			mp.raWindow *= 2
@@ -369,13 +346,18 @@ func (mp *Mapping) fault(as *memsim.AddressSpace, vaddr uint64, ft memsim.FaultT
 		if mp.raWindow > mp.k.raMax {
 			mp.raWindow = mp.k.raMax
 		}
-		window := mp.collectWindow(vpn, mp.raWindow, useCache)
-		mp.raNext = window[len(window)-1] + 1
-		if len(window) > 1 {
-			return mp.fetchBatch(meter, as, window, useCache)
-		}
+		pages = mp.raWindow
 	}
-	return mp.fetchSingle(meter, as, vpn, rpfn, useCache)
+	window := mp.collectWindow(vpn, pages, useCache)
+	mp.raNext = window[len(window)-1] + 1
+	if len(window) == 1 {
+		return mp.fetch(meter, as, window, true, simtime.CatFault, useCache)
+	}
+	if err := mp.fetch(meter, as, window, false, simtime.CatReadahead, useCache); err != nil {
+		return err
+	}
+	mp.k.addReadaheadPages(len(window) - 1)
+	return nil
 }
 
 // collectWindow returns the contiguous run of fetchable pages starting at
@@ -405,50 +387,33 @@ func (mp *Mapping) collectWindow(vpn memsim.VPN, max int, useCache bool) []memsi
 	return window
 }
 
-// fetchSingle resolves one remote page with a single fabric read landing
-// directly in the destination frame (no staging buffer, no copy), failing
-// over to a replica and retrying once if the read target crashed.
-func (mp *Mapping) fetchSingle(meter *simtime.Meter, as *memsim.AddressSpace, vpn memsim.VPN, rpfn memsim.PFN, useCache bool) error {
+// fetch resolves the remote, not-present, not-cached pages vpns — the one
+// fetch path behind demand faults, readahead windows and Prefetch. It
+// allocates the destination frames, reads straight into them (no staging
+// buffer), fails over to a replica and retries once if the read target
+// crashed, and installs. A demand fetch is one page read with a single
+// one-sided Read (a page RPC under PagingRPC); anything else is one
+// doorbell batch charged to cat. Without the cache the frames stay private
+// writable copies — the original CoW coherency model. With it they are
+// admitted, installed CoW-shared, and only then is the cache trimmed: the
+// address space holds its references before eviction can free a frame.
+func (mp *Mapping) fetch(meter *simtime.Meter, as *memsim.AddressSpace, vpns []memsim.VPN, demand bool, cat simtime.Category, useCache bool) error {
 	mach := as.Machine()
-	local := mach.AllocFrameUnzeroed()
-	buf := mach.BorrowFrame(local)
-	err := mp.readRemote(meter, vpn, buf)
-	if err != nil && mp.tryFailover(meter, err) {
-		err = mp.readRemote(meter, vpn, buf)
-	}
-	if err != nil {
-		mach.Unref(local)
-		mp.dropCrashed(err)
-		return err
-	}
-	mach.SealFrame(local)
-	mp.install(meter, as, vpn, rpfn, local, useCache)
-	return nil
-}
-
-// fetchBatch resolves the demand page plus readahead window in one
-// doorbell-batched read, charged to the readahead category. The batch
-// reads land directly in the freshly allocated frames, and the installs
-// run batched too: one shard-ordered cache admission (InsertBatch) and one
-// shard-ordered reference sweep (InstallSharedBatch) per window, instead
-// of per-page lock round-trips.
-func (mp *Mapping) fetchBatch(meter *simtime.Meter, as *memsim.AddressSpace, window []memsim.VPN, useCache bool) error {
-	mach := as.Machine()
-	mp.ensureScratch(len(window))
-	for _, vpn := range window {
+	mp.ensureScratch(len(vpns))
+	for _, vpn := range vpns {
 		local := mach.AllocFrameUnzeroed()
 		mp.locals = append(mp.locals, local)
 		mp.rpfns = append(mp.rpfns, mp.remotePT[vpn])
 		mp.reqs = append(mp.reqs, rdma.PageRead{PFN: mp.physPFN(vpn), Buf: mach.BorrowFrame(local)})
 	}
-	err := mp.readPages(meter, simtime.CatReadahead, mp.reqs)
+	err := mp.read(meter, demand, cat)
 	if err != nil && mp.tryFailover(meter, err) {
 		// Failover re-points reads at a backup's frames; the destination
 		// buffers stay the same.
-		for i, vpn := range window {
+		for i, vpn := range vpns {
 			mp.reqs[i].PFN = mp.physPFN(vpn)
 		}
-		err = mp.readPages(meter, simtime.CatReadahead, mp.reqs)
+		err = mp.read(meter, demand, cat)
 	}
 	if err != nil {
 		for _, pfn := range mp.locals {
@@ -458,31 +423,36 @@ func (mp *Mapping) fetchBatch(meter *simtime.Meter, as *memsim.AddressSpace, win
 		return err
 	}
 	mach.SealFrames(mp.locals)
-	mp.k.addReadaheadPages(len(window) - 1)
 	if !useCache {
-		for i, vpn := range window {
+		for i, vpn := range vpns {
 			as.InstallPTE(vpn, memsim.PTE{PFN: mp.locals[i], Flags: memsim.FlagPresent | memsim.FlagWritable})
 		}
 		return nil
 	}
-	canon := mp.canon[:len(window)]
+	canon := mp.canon[:len(vpns)]
 	mp.k.pcache.InsertBatch(mp.target, mp.gen, mp.rpfns, mp.locals, canon)
-	as.InstallSharedBatch(window, canon)
+	as.InstallSharedBatch(vpns, canon)
 	mp.k.pcache.TrimToBudget(meter, mp.k.cm)
 	return nil
 }
 
-// install maps a freshly fetched frame: through the page cache it becomes a
-// CoW-shared entry (the cache takes the fetch reference and may return an
-// existing canonical frame); without the cache it stays a private writable
-// copy — the original CoW coherency model.
-func (mp *Mapping) install(meter *simtime.Meter, as *memsim.AddressSpace, vpn memsim.VPN, rpfn memsim.PFN, local memsim.PFN, useCache bool) {
-	if !useCache {
-		as.InstallPTE(vpn, memsim.PTE{PFN: local, Flags: memsim.FlagPresent | memsim.FlagWritable})
-		return
+// read issues the fabric read for the descriptors fetch staged in mp.reqs.
+func (mp *Mapping) read(meter *simtime.Meter, demand bool, cat simtime.Category) error {
+	if !demand {
+		return mp.k.transport.ReadPagesCat(meter, cat, mp.readTarget, mp.reqs)
 	}
-	canonical := mp.k.pcache.Insert(meter, mp.k.cm, mp.target, rpfn, mp.gen, local)
-	as.InstallShared(vpn, canonical)
+	r := mp.reqs[0]
+	if mp.mode == PagingRPC {
+		req := make([]byte, 8)
+		binary.LittleEndian.PutUint64(req, uint64(mp.rpfns[0]))
+		resp, err := mp.k.transport.CallCat(meter, simtime.CatFault, mp.target, PageEndpoint, req)
+		if err != nil {
+			return err
+		}
+		copy(r.Buf, resp)
+		return nil
+	}
+	return mp.k.transport.Read(meter, mp.readTarget, r.PFN, 0, r.Buf)
 }
 
 // dropCrashed invalidates the producer machine's cache entries when a read
@@ -499,29 +469,6 @@ func (mp *Mapping) dropCrashed(err error) {
 	}
 }
 
-func (mp *Mapping) readPages(meter *simtime.Meter, cat simtime.Category, reqs []rdma.PageRead) error {
-	if rp, ok := mp.k.transport.(readPagesCatTransport); ok {
-		return rp.ReadPagesCat(meter, cat, mp.readTarget, reqs)
-	}
-	return mp.k.transport.ReadPages(meter, mp.readTarget, reqs)
-}
-
-func (mp *Mapping) readRemote(meter *simtime.Meter, vpn memsim.VPN, buf []byte) error {
-	switch mp.mode {
-	case PagingRPC:
-		req := make([]byte, 8)
-		binary.LittleEndian.PutUint64(req, uint64(mp.remotePT[vpn]))
-		resp, err := mp.k.callCat(meter, simtime.CatFault, mp.target, PageEndpoint, req)
-		if err != nil {
-			return err
-		}
-		copy(buf, resp)
-		return nil
-	default:
-		return mp.k.transport.Read(meter, mp.readTarget, mp.physPFN(vpn), 0, buf)
-	}
-}
-
 // Prefetch reads the given pages in one doorbell-batched request and
 // installs them, so later accesses hit locally with no fault (§4.4). Pages
 // outside the mapping or already present are skipped; unknown remote pages
@@ -534,14 +481,7 @@ func (mp *Mapping) Prefetch(vpns []memsim.VPN) error {
 		return err
 	}
 	useCache := mp.cacheable()
-	mach := mp.as.Machine()
-	type slot struct {
-		vpn  memsim.VPN
-		pfn  memsim.PFN // local destination
-		rpfn memsim.PFN
-	}
-	var slots []slot
-	var reqs []rdma.PageRead
+	miss := make([]memsim.VPN, 0, len(vpns))
 	for _, vpn := range vpns {
 		base := vpn.Base()
 		if base < mp.Start || base >= mp.End {
@@ -552,7 +492,7 @@ func (mp *Mapping) Prefetch(vpns []memsim.VPN) error {
 		}
 		rpfn, ok := mp.remotePT[vpn]
 		if !ok {
-			local := mach.AllocFrame()
+			local := mp.as.Machine().AllocFrame()
 			mp.as.InstallPTE(vpn, memsim.PTE{PFN: local, Flags: memsim.FlagPresent | memsim.FlagWritable})
 			continue
 		}
@@ -563,32 +503,12 @@ func (mp *Mapping) Prefetch(vpns []memsim.VPN) error {
 				continue
 			}
 		}
-		local := mach.AllocFrameUnzeroed()
-		slots = append(slots, slot{vpn, local, rpfn})
-		reqs = append(reqs, rdma.PageRead{PFN: mp.physPFN(vpn), Buf: mach.BorrowFrame(local)})
+		miss = append(miss, vpn)
 	}
-	if len(slots) == 0 {
+	if len(miss) == 0 {
 		return nil
 	}
-	err := mp.k.transport.ReadPages(meter, mp.readTarget, reqs)
-	if err != nil && mp.tryFailover(meter, err) {
-		for i, s := range slots {
-			reqs[i].PFN = mp.physPFN(s.vpn)
-		}
-		err = mp.k.transport.ReadPages(meter, mp.readTarget, reqs)
-	}
-	if err != nil {
-		for _, s := range slots {
-			mach.Unref(s.pfn)
-		}
-		mp.dropCrashed(err)
-		return err
-	}
-	for _, s := range slots {
-		mach.SealFrame(s.pfn)
-		mp.install(meter, mp.as, s.vpn, s.rpfn, s.pfn, useCache)
-	}
-	return nil
+	return mp.fetch(meter, mp.as, miss, false, simtime.CatFault, useCache)
 }
 
 // PrefetchRange prefetches every page of [start, end) within the mapping.

@@ -2,7 +2,6 @@ package kernel
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"rmmap/internal/memsim"
 	"rmmap/internal/simtime"
@@ -15,13 +14,6 @@ const (
 	DefaultPageCacheBytes = 64 << 20
 	// DefaultReadaheadMax caps the adaptive readahead window, in pages.
 	DefaultReadaheadMax = 32
-)
-
-// cacheShardCount is the number of lock shards; a power of two so the
-// shard pick is a mask of the key hash (DESIGN.md §12).
-const (
-	cacheShardCount = 16
-	cacheShardMask  = cacheShardCount - 1
 )
 
 // CacheStats snapshots one machine's remote-page-cache activity. LiveBytes
@@ -77,41 +69,21 @@ type cacheKey struct {
 	gen uint64
 }
 
-// shard picks the key's lock shard with a splitmix-style mix of all three
-// key fields (producer PFNs are dense small integers; without mixing they
-// would pile onto a few shards).
-func (k cacheKey) shard() int {
-	h := uint64(k.mac)*0x9e3779b97f4a7c15 ^ uint64(k.pfn)*0xbf58476d1ce4e5b9 ^ k.gen*0x94d049bb133111eb
-	h ^= h >> 31
-	h *= 0xd6e8feb86659fd93
-	h ^= h >> 27
-	return int(h) & cacheShardMask
-}
-
-// cacheEntry is one cached page. Entries are intrusive nodes on two lists
-// of their shard — the recency list and the per-producer index — and are
-// pooled per shard on removal, so steady-state insert/evict churn
-// allocates nothing.
+// cacheEntry is one cached page: an intrusive node on the recency list and
+// on its producer's index, pooled on removal so steady-state insert/evict
+// churn allocates nothing.
 type cacheEntry struct {
 	key   cacheKey
 	local memsim.PFN // consumer-machine frame holding the page's bytes
-	seq   uint64     // global recency stamp; larger = more recently used
 
-	prev, next   *cacheEntry // shard recency list (head = MRU)
+	prev, next   *cacheEntry // recency list (head = MRU)
 	pprev, pnext *cacheEntry // per-producer index, insertion order
 }
 
-// cacheShard is one lock stripe: its own map, recency list, per-producer
-// index, and entry free list.
-type cacheShard struct {
-	mu       sync.Mutex
-	entries  map[cacheKey]*cacheEntry
-	lruHead  *cacheEntry                      // most recently used
-	lruTail  *cacheEntry                      // least recently used
-	prod     map[memsim.MachineID]*cacheEntry // head of per-producer list
-	prodTail map[memsim.MachineID]*cacheEntry // tail (O(1) append)
-	free     []*cacheEntry
-}
+// producerIndex lists one producer machine's entries in insertion order, so
+// invalidation walks only that producer's pages and replays its frame
+// unrefs deterministically.
+type producerIndex struct{ head, tail *cacheEntry }
 
 // PageCache is the machine-level remote page cache: the first fault on a
 // producer page fetches it once over the fabric and inserts a refcounted
@@ -119,273 +91,186 @@ type cacheShard struct {
 // CoW-shared instead of fetching and copying. The cache holds one reference
 // per entry, bounded by a byte budget with LRU eviction.
 //
-// The cache is striped: entries live in cacheShardCount independent shards
-// keyed by a hash of (producer, pfn, generation), so concurrent lookups
-// from parallel workers never convoy on one mutex. Recency stays globally
-// exact — every touch stamps a cache-wide sequence number, and eviction
-// removes the minimum-sequence entry across all shard tails — so the
-// eviction order is identical to a single global LRU list (the determinism
-// envelope pins this; DESIGN.md §12).
+// One mutex guards everything. The engine runs each machine's invocations
+// on one goroutine per worker phase, so the lock is never contended on the
+// fault path; it exists for the sim-thread invalidation broadcasts and for
+// kernel-level users that share a cache across goroutines (DESIGN.md §12).
 type PageCache struct {
 	machine *memsim.Machine
 	budget  int64
-	shards  [cacheShardCount]cacheShard
-	seq     atomic.Uint64
 
-	hits, misses, inserts, evictions atomic.Int64
-	liveBytes                        atomic.Int64
+	mu      sync.Mutex
+	entries map[cacheKey]*cacheEntry
+	lruHead *cacheEntry // most recently used
+	lruTail *cacheEntry // least recently used
+	prod    map[memsim.MachineID]*producerIndex
+	free    []*cacheEntry
 
+	hits, misses, inserts, evictions int64
 	// invalScanned counts entries examined by invalidation walks; the
 	// per-producer index keeps it O(entries of that producer), which the
 	// regression test asserts.
-	invalScanned atomic.Int64
+	invalScanned int64
 }
 
 // NewPageCache returns an empty cache on machine m with the given byte
 // budget (must be > 0; use a nil *PageCache to disable caching).
 func NewPageCache(m *memsim.Machine, budget int64) *PageCache {
-	c := &PageCache{machine: m, budget: budget}
-	for i := range c.shards {
-		c.shards[i].entries = make(map[cacheKey]*cacheEntry)
-		c.shards[i].prod = make(map[memsim.MachineID]*cacheEntry)
-		c.shards[i].prodTail = make(map[memsim.MachineID]*cacheEntry)
+	return &PageCache{
+		machine: m, budget: budget,
+		entries: make(map[cacheKey]*cacheEntry),
+		prod:    make(map[memsim.MachineID]*producerIndex),
 	}
-	return c
 }
 
 // Budget returns the configured byte budget.
 func (c *PageCache) Budget() int64 { return c.budget }
 
-// --- shard list plumbing (callers hold sh.mu) ---
+// --- list plumbing (callers hold c.mu) ---
 
-func (sh *cacheShard) pushFront(e *cacheEntry) {
+func (c *PageCache) pushFront(e *cacheEntry) {
 	e.prev = nil
-	e.next = sh.lruHead
-	if sh.lruHead != nil {
-		sh.lruHead.prev = e
+	e.next = c.lruHead
+	if c.lruHead != nil {
+		c.lruHead.prev = e
 	}
-	sh.lruHead = e
-	if sh.lruTail == nil {
-		sh.lruTail = e
+	c.lruHead = e
+	if c.lruTail == nil {
+		c.lruTail = e
 	}
 }
 
-func (sh *cacheShard) unlinkLRU(e *cacheEntry) {
+func (c *PageCache) unlinkLRU(e *cacheEntry) {
 	if e.prev != nil {
 		e.prev.next = e.next
 	} else {
-		sh.lruHead = e.next
+		c.lruHead = e.next
 	}
 	if e.next != nil {
 		e.next.prev = e.prev
 	} else {
-		sh.lruTail = e.prev
+		c.lruTail = e.prev
 	}
-	e.prev, e.next = nil, nil
 }
 
-func (sh *cacheShard) moveToFront(e *cacheEntry) {
-	if sh.lruHead == e {
-		return
+func (c *PageCache) moveToFront(e *cacheEntry) {
+	if c.lruHead != e {
+		c.unlinkLRU(e)
+		c.pushFront(e)
 	}
-	sh.unlinkLRU(e)
-	sh.pushFront(e)
 }
 
-// linkProducer appends e to its producer's index (insertion order, so
-// invalidation drops — and thus frame unrefs — replay deterministically).
-func (sh *cacheShard) linkProducer(e *cacheEntry) {
-	mac := e.key.mac
-	tail := sh.prodTail[mac]
-	e.pprev, e.pnext = tail, nil
-	if tail == nil {
-		sh.prod[mac] = e
-	} else {
-		tail.pnext = e
-	}
-	sh.prodTail[mac] = e
-}
-
-func (sh *cacheShard) unlinkProducer(e *cacheEntry) {
-	mac := e.key.mac
+// drop removes e from every structure, releases the cache's frame
+// reference and pools the entry.
+func (c *PageCache) drop(e *cacheEntry) {
+	c.unlinkLRU(e)
+	idx := c.prod[e.key.mac]
 	if e.pprev != nil {
 		e.pprev.pnext = e.pnext
 	} else {
-		if e.pnext == nil {
-			delete(sh.prod, mac)
-		} else {
-			sh.prod[mac] = e.pnext
-		}
+		idx.head = e.pnext
 	}
 	if e.pnext != nil {
 		e.pnext.pprev = e.pprev
 	} else {
-		if e.pprev == nil {
-			delete(sh.prodTail, mac)
-		} else {
-			sh.prodTail[mac] = e.pprev
-		}
+		idx.tail = e.pprev
 	}
-	e.pprev, e.pnext = nil, nil
-}
-
-// removeEntry unlinks e from every shard structure and pools it.
-func (sh *cacheShard) removeEntry(e *cacheEntry) {
-	sh.unlinkLRU(e)
-	sh.unlinkProducer(e)
-	delete(sh.entries, e.key)
+	delete(c.entries, e.key)
+	c.machine.Unref(e.local)
 	*e = cacheEntry{}
-	sh.free = append(sh.free, e)
-}
-
-func (sh *cacheShard) alloc() *cacheEntry {
-	if n := len(sh.free); n > 0 {
-		e := sh.free[n-1]
-		sh.free = sh.free[:n-1]
-		return e
-	}
-	return &cacheEntry{}
+	c.free = append(c.free, e)
 }
 
 // Lookup returns the local frame caching (mac, pfn, gen) and records a hit
 // or miss. The frame stays owned by the cache; callers wanting to map it
 // must take their own reference (InstallShared does).
 func (c *PageCache) Lookup(mac memsim.MachineID, pfn memsim.PFN, gen uint64) (memsim.PFN, bool) {
-	key := cacheKey{mac, pfn, gen}
-	sh := &c.shards[key.shard()]
-	sh.mu.Lock()
-	e, ok := sh.entries[key]
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e, ok := c.entries[cacheKey{mac, pfn, gen}]
 	if !ok {
-		sh.mu.Unlock()
-		c.misses.Add(1)
+		c.misses++
 		return 0, false
 	}
-	sh.moveToFront(e)
-	e.seq = c.seq.Add(1)
-	local := e.local
-	sh.mu.Unlock()
-	c.hits.Add(1)
-	return local, true
+	c.moveToFront(e)
+	c.hits++
+	return e.local, true
 }
 
 // Contains reports whether the page is cached without touching recency or
 // the hit/miss counters (readahead eligibility checks).
 func (c *PageCache) Contains(mac memsim.MachineID, pfn memsim.PFN, gen uint64) bool {
-	key := cacheKey{mac, pfn, gen}
-	sh := &c.shards[key.shard()]
-	sh.mu.Lock()
-	_, ok := sh.entries[key]
-	sh.mu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	_, ok := c.entries[cacheKey{mac, pfn, gen}]
 	return ok
 }
 
-// Insert adds a fetched page, taking ownership of the caller's reference on
-// local. If the key is already cached (two consumers raced on the same
-// page), the caller's frame is released and the canonical one returned.
-// Inserting may LRU-evict older pages past the byte budget; the eviction
-// bookkeeping is charged to meter under CatCache.
-func (c *PageCache) Insert(meter *simtime.Meter, cm *simtime.CostModel, mac memsim.MachineID, pfn memsim.PFN, gen uint64, local memsim.PFN) memsim.PFN {
-	canonical, fresh := c.insertOne(cacheKey{mac, pfn, gen}, local)
-	if !fresh {
-		return canonical
-	}
-	if evicted := c.evictToBudget(); evicted > 0 && meter != nil {
-		meter.Charge(simtime.CatCache, simtime.Scale(cm.CacheEvictPerPage, evicted))
-	}
-	return canonical
-}
-
-// insertOne admits one page into its shard, returning the canonical frame
-// and whether a new entry was created (false = duplicate; the caller's
-// frame was released).
-func (c *PageCache) insertOne(key cacheKey, local memsim.PFN) (memsim.PFN, bool) {
-	sh := &c.shards[key.shard()]
-	sh.mu.Lock()
-	if e, ok := sh.entries[key]; ok {
-		sh.moveToFront(e)
-		e.seq = c.seq.Add(1)
-		canonical := e.local
-		sh.mu.Unlock()
-		c.machine.Unref(local)
-		return canonical, false
-	}
-	e := sh.alloc()
-	e.key = key
-	e.local = local
-	e.seq = c.seq.Add(1)
-	sh.pushFront(e)
-	sh.linkProducer(e)
-	sh.entries[key] = e
-	sh.mu.Unlock()
-	c.inserts.Add(1)
-	c.liveBytes.Add(memsim.PageSize)
-	return local, true
-}
-
-// InsertBatch admits a fetched readahead window in one pass: every page is
-// inserted into its shard with no per-page eviction round-trip. canon
-// receives the canonical frame for each page (the caller's frame, or an
-// existing entry's on duplicate keys) and must be len(locals). The
-// caller's reference on each duplicate's frame is released, exactly like
-// Insert. Admission does NOT evict: the caller takes its own references on
-// the canonical frames first (InstallSharedBatch) and then calls
-// TrimToBudget, so a window larger than the budget can never free a frame
-// between cache admission and page-table install.
+// InsertBatch admits fetched pages, taking ownership of the caller's
+// reference on each locals[i]. canon receives the canonical frame for each
+// page and must be len(locals): the caller's frame, or — when the key is
+// already cached (two consumers raced on the same page) — the existing
+// entry's, in which case the caller's frame is released. Admission does NOT
+// evict: the caller takes its own references on the canonical frames first
+// (InstallSharedBatch) and then calls TrimToBudget, so a batch larger than
+// the budget can never free a frame between cache admission and page-table
+// install.
 func (c *PageCache) InsertBatch(mac memsim.MachineID, gen uint64, rpfns, locals, canon []memsim.PFN) {
-	for i := range locals {
-		canon[i], _ = c.insertOne(cacheKey{mac, rpfns[i], gen}, locals[i])
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	idx := c.prod[mac]
+	if idx == nil {
+		idx = &producerIndex{}
+		c.prod[mac] = idx
 	}
-}
-
-// TrimToBudget runs one eviction sweep back to the byte budget, charging
-// the bookkeeping to meter under CatCache — the single shard-ordered
-// critical-section chain that closes a batched admission.
-func (c *PageCache) TrimToBudget(meter *simtime.Meter, cm *simtime.CostModel) {
-	if evicted := c.evictToBudget(); evicted > 0 && meter != nil {
-		meter.Charge(simtime.CatCache, simtime.Scale(cm.CacheEvictPerPage, evicted))
-	}
-}
-
-// evictToBudget drops globally least-recent entries until liveBytes ≤
-// budget, returning how many pages were evicted. Exact LRU across shards:
-// each round peeks every shard's tail and evicts the minimum sequence.
-func (c *PageCache) evictToBudget() int {
-	n := 0
-	for c.liveBytes.Load() > c.budget {
-		best := -1
-		var bestSeq uint64
-		for i := range c.shards {
-			sh := &c.shards[i]
-			sh.mu.Lock()
-			if t := sh.lruTail; t != nil && (best == -1 || t.seq < bestSeq) {
-				best, bestSeq = i, t.seq
-			}
-			sh.mu.Unlock()
-		}
-		if best == -1 {
-			break
-		}
-		sh := &c.shards[best]
-		sh.mu.Lock()
-		t := sh.lruTail
-		if t == nil {
-			sh.mu.Unlock()
+	for i, local := range locals {
+		key := cacheKey{mac, rpfns[i], gen}
+		if e, ok := c.entries[key]; ok {
+			c.moveToFront(e)
+			c.machine.Unref(local)
+			canon[i] = e.local
 			continue
 		}
-		local := t.local
-		sh.removeEntry(t)
-		sh.mu.Unlock()
-		c.liveBytes.Add(-memsim.PageSize)
-		c.evictions.Add(1)
-		c.machine.Unref(local)
-		n++
+		var e *cacheEntry
+		if n := len(c.free); n > 0 {
+			e, c.free = c.free[n-1], c.free[:n-1]
+		} else {
+			e = &cacheEntry{}
+		}
+		e.key, e.local = key, local
+		c.pushFront(e)
+		e.pprev = idx.tail
+		if idx.tail == nil {
+			idx.head = e
+		} else {
+			idx.tail.pnext = e
+		}
+		idx.tail = e
+		c.entries[key] = e
+		c.inserts++
+		canon[i] = local
 	}
-	return n
+}
+
+// TrimToBudget evicts least-recently-used entries until the cache fits its
+// byte budget, charging the bookkeeping to meter under CatCache.
+func (c *PageCache) TrimToBudget(meter *simtime.Meter, cm *simtime.CostModel) {
+	c.mu.Lock()
+	evicted := 0
+	for int64(len(c.entries))*memsim.PageSize > c.budget {
+		c.drop(c.lruTail)
+		evicted++
+	}
+	c.evictions += int64(evicted)
+	c.mu.Unlock()
+	if evicted > 0 && meter != nil {
+		meter.Charge(simtime.CatCache, simtime.Scale(cm.CacheEvictPerPage, evicted))
+	}
 }
 
 // InvalidateMachine drops every entry sourced from mac (machine crash).
 func (c *PageCache) InvalidateMachine(mac memsim.MachineID) {
-	c.invalidateProducer(mac, func(k cacheKey) bool { return true })
+	c.invalidateProducer(mac, func(cacheKey) bool { return true })
 }
 
 // InvalidateBelow drops entries sourced from mac with generation < below —
@@ -395,73 +280,57 @@ func (c *PageCache) InvalidateBelow(mac memsim.MachineID, below uint64) {
 	c.invalidateProducer(mac, func(k cacheKey) bool { return k.gen < below })
 }
 
-// invalidateProducer walks only mac's per-producer index in each shard —
-// O(entries of that producer), not a full cache scan — dropping entries
-// drop() selects, in insertion order.
+// invalidateProducer walks only mac's index — O(entries of that producer),
+// not a full cache scan — dropping entries drop() selects, in insertion
+// order.
 func (c *PageCache) invalidateProducer(mac memsim.MachineID, drop func(cacheKey) bool) {
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		var next *cacheEntry
-		for e := sh.prod[mac]; e != nil; e = next {
-			next = e.pnext
-			c.invalScanned.Add(1)
-			if !drop(e.key) {
-				continue
-			}
-			local := e.local
-			sh.removeEntry(e)
-			c.liveBytes.Add(-memsim.PageSize)
-			c.machine.Unref(local)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	idx := c.prod[mac]
+	if idx == nil {
+		return
+	}
+	var next *cacheEntry
+	for e := idx.head; e != nil; e = next {
+		next = e.pnext
+		c.invalScanned++
+		if drop(e.key) {
+			c.drop(e)
 		}
-		sh.mu.Unlock()
 	}
 }
 
-// invalidate drops every entry drop() selects — the full-scan fallback
-// used only by EnablePageCache teardown (predicates not keyed by
-// producer).
-func (c *PageCache) invalidate(drop func(cacheKey) bool) {
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		var next *cacheEntry
-		for e := sh.lruHead; e != nil; e = next {
-			next = e.next
-			c.invalScanned.Add(1)
-			if !drop(e.key) {
-				continue
-			}
-			local := e.local
-			sh.removeEntry(e)
-			c.liveBytes.Add(-memsim.PageSize)
-			c.machine.Unref(local)
-		}
-		sh.mu.Unlock()
+// clear drops every entry (EnablePageCache teardown).
+func (c *PageCache) clear() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for c.lruTail != nil {
+		c.drop(c.lruTail)
 	}
 }
 
 // MachineBytes reports the cache footprint attributable to pages sourced
 // from mac (test observability for crash invalidation).
 func (c *PageCache) MachineBytes(mac memsim.MachineID) int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	var n int64
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		for e := sh.prod[mac]; e != nil; e = e.pnext {
+	if idx := c.prod[mac]; idx != nil {
+		for e := idx.head; e != nil; e = e.pnext {
 			n += memsim.PageSize
 		}
-		sh.mu.Unlock()
 	}
 	return n
 }
 
 // Stats snapshots the cache counters.
 func (c *PageCache) Stats() CacheStats {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	return CacheStats{
-		Hits: c.hits.Load(), Misses: c.misses.Load(),
-		Inserts: c.inserts.Load(), Evictions: c.evictions.Load(),
-		LiveBytes: c.liveBytes.Load(),
+		Hits: c.hits, Misses: c.misses,
+		Inserts: c.inserts, Evictions: c.evictions,
+		LiveBytes: int64(len(c.entries)) * memsim.PageSize,
 	}
 }
 
@@ -469,16 +338,15 @@ func (c *PageCache) Stats() CacheStats {
 // invalidation walks. With the per-producer index, invalidating one
 // producer's registration scans only that producer's entries — the
 // regression test pins this so a future full-scan reintroduction fails.
-func (c *PageCache) InvalScanned() int64 { return c.invalScanned.Load() }
+func (c *PageCache) InvalScanned() int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.invalScanned
+}
 
 // Len reports the number of cached pages.
 func (c *PageCache) Len() int {
-	n := 0
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		n += len(sh.entries)
-		sh.mu.Unlock()
-	}
-	return n
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.entries)
 }

@@ -17,6 +17,15 @@ func (c *cluster) enableCaches(budget int64, raMax int) {
 	}
 }
 
+// cacheInsert admits one page the way the fault path does (admit, then
+// trim) and returns the canonical frame.
+func cacheInsert(pc *PageCache, meter *simtime.Meter, cm *simtime.CostModel, mac memsim.MachineID, pfn memsim.PFN, gen uint64, local memsim.PFN) memsim.PFN {
+	canon := make([]memsim.PFN, 1)
+	pc.InsertBatch(mac, gen, []memsim.PFN{pfn}, []memsim.PFN{local}, canon)
+	pc.TrimToBudget(meter, cm)
+	return canon[0]
+}
+
 func TestPageCacheLRUEviction(t *testing.T) {
 	m := memsim.NewMachine(0)
 	cm := simtime.DefaultCostModel()
@@ -26,7 +35,7 @@ func TestPageCacheLRUEviction(t *testing.T) {
 	frames := make([]memsim.PFN, 3)
 	for i := range frames {
 		frames[i] = m.AllocFrame()
-		pc.Insert(meter, cm, 1, memsim.PFN(100+i), 0, frames[i])
+		cacheInsert(pc, meter, cm, 1, memsim.PFN(100+i), 0, frames[i])
 	}
 	if got := pc.Len(); got != 2 {
 		t.Fatalf("cache holds %d pages, want 2 (budget)", got)
@@ -51,13 +60,13 @@ func TestPageCacheRecency(t *testing.T) {
 	m := memsim.NewMachine(0)
 	cm := simtime.DefaultCostModel()
 	pc := NewPageCache(m, 2*memsim.PageSize)
-	pc.Insert(nil, cm, 1, 100, 0, m.AllocFrame())
-	pc.Insert(nil, cm, 1, 101, 0, m.AllocFrame())
+	cacheInsert(pc, nil, cm, 1, 100, 0, m.AllocFrame())
+	cacheInsert(pc, nil, cm, 1, 101, 0, m.AllocFrame())
 	// Touch 100 so 101 becomes LRU, then overflow.
 	if _, ok := pc.Lookup(1, 100, 0); !ok {
 		t.Fatal("expected hit on pfn 100")
 	}
-	pc.Insert(nil, cm, 1, 102, 0, m.AllocFrame())
+	cacheInsert(pc, nil, cm, 1, 102, 0, m.AllocFrame())
 	if _, ok := pc.Lookup(1, 100, 0); !ok {
 		t.Error("recently used page evicted")
 	}
@@ -69,7 +78,7 @@ func TestPageCacheRecency(t *testing.T) {
 func TestPageCacheGenerationMismatch(t *testing.T) {
 	m := memsim.NewMachine(0)
 	pc := NewPageCache(m, 8*memsim.PageSize)
-	pc.Insert(nil, simtime.DefaultCostModel(), 1, 100, 1, m.AllocFrame())
+	cacheInsert(pc, nil, simtime.DefaultCostModel(), 1, 100, 1, m.AllocFrame())
 	if _, ok := pc.Lookup(1, 100, 2); ok {
 		t.Error("hit across generations: a reused PFN would serve stale bytes")
 	}
@@ -82,9 +91,9 @@ func TestPageCacheInvalidation(t *testing.T) {
 	m := memsim.NewMachine(0)
 	cm := simtime.DefaultCostModel()
 	pc := NewPageCache(m, 64*memsim.PageSize)
-	pc.Insert(nil, cm, 1, 100, 1, m.AllocFrame())
-	pc.Insert(nil, cm, 1, 101, 2, m.AllocFrame())
-	pc.Insert(nil, cm, 2, 100, 1, m.AllocFrame())
+	cacheInsert(pc, nil, cm, 1, 100, 1, m.AllocFrame())
+	cacheInsert(pc, nil, cm, 1, 101, 2, m.AllocFrame())
+	cacheInsert(pc, nil, cm, 2, 100, 1, m.AllocFrame())
 
 	pc.InvalidateBelow(1, 2) // drops (1,100,gen1) only
 	if pc.Contains(1, 100, 1) || !pc.Contains(1, 101, 2) || !pc.Contains(2, 100, 1) {
@@ -109,9 +118,9 @@ func TestPageCacheInsertRaceKeepsCanonical(t *testing.T) {
 	pc := NewPageCache(m, 64*memsim.PageSize)
 	first := m.AllocFrame()
 	m.WriteFrame(first, 0, []byte("canonical"))
-	pc.Insert(nil, cm, 1, 100, 0, first)
+	cacheInsert(pc, nil, cm, 1, 100, 0, first)
 	dup := m.AllocFrame()
-	got := pc.Insert(nil, cm, 1, 100, 0, dup)
+	got := cacheInsert(pc, nil, cm, 1, 100, 0, dup)
 	if got != first {
 		t.Fatalf("duplicate insert returned %d, want canonical %d", got, first)
 	}
@@ -136,7 +145,7 @@ func TestPageCacheInvalidationScansOneProducer(t *testing.T) {
 	pc := NewPageCache(m, producers*perProducer*memsim.PageSize)
 	for p := 0; p < producers; p++ {
 		for i := 0; i < perProducer; i++ {
-			pc.Insert(nil, cm, memsim.MachineID(p+1), memsim.PFN(i), 1, m.AllocFrame())
+			cacheInsert(pc, nil, cm, memsim.MachineID(p+1), memsim.PFN(i), 1, m.AllocFrame())
 		}
 	}
 	if got := pc.Len(); got != producers*perProducer {

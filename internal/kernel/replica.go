@@ -171,7 +171,7 @@ func (k *Kernel) replPrepare(job *replJob) {
 	}
 	live := false
 	for _, t := range job.targets {
-		resp, err := k.callCat(m, simtime.CatReplicate, t.mac, ReplPrepareEndpoint, req)
+		resp, err := k.transport.CallCat(m, simtime.CatReplicate, t.mac, ReplPrepareEndpoint, req)
 		if err != nil || len(resp) != 8*len(job.pages) {
 			t.failed = true
 			continue
@@ -202,10 +202,10 @@ func (k *Kernel) replStep(job *replJob) {
 	if hi > len(job.pages) {
 		hi = len(job.pages)
 	}
-	bufs := make([]*[]byte, hi-lo)
+	buf := make([]byte, (hi-lo)*memsim.PageSize)
+	page := func(i int) []byte { return buf[(i-lo)*memsim.PageSize:][:memsim.PageSize] }
 	for i := lo; i < hi; i++ {
-		bufs[i-lo] = getPageBuf()
-		k.machine.ReadFrame(job.pages[i].pfn, 0, *bufs[i-lo])
+		k.machine.ReadFrame(job.pages[i].pfn, 0, page(i))
 	}
 	commit := make([]byte, 28)
 	binary.LittleEndian.PutUint64(commit, uint64(k.machine.ID()))
@@ -219,13 +219,13 @@ func (k *Kernel) replStep(job *replJob) {
 		}
 		reqs := make([]rdma.PageWrite, hi-lo)
 		for i := lo; i < hi; i++ {
-			reqs[i-lo] = rdma.PageWrite{PFN: t.locals[i], Data: *bufs[i-lo]}
+			reqs[i-lo] = rdma.PageWrite{PFN: t.locals[i], Data: page(i)}
 		}
-		if err := k.writePagesCat(m, simtime.CatReplicate, t.mac, reqs); err != nil {
+		if err := k.transport.WritePagesCat(m, simtime.CatReplicate, t.mac, reqs); err != nil {
 			t.failed = true
 			continue
 		}
-		if _, err := k.callCat(m, simtime.CatReplicate, t.mac, ReplCommitEndpoint, commit); err != nil {
+		if _, err := k.transport.CallCat(m, simtime.CatReplicate, t.mac, ReplCommitEndpoint, commit); err != nil {
 			t.failed = true
 			continue
 		}
@@ -233,9 +233,6 @@ func (k *Kernel) replStep(job *replJob) {
 		k.replicatedBytes += int64((hi - lo) * memsim.PageSize)
 		k.mu.Unlock()
 		live = true
-	}
-	for _, b := range bufs {
-		putPageBuf(b)
 	}
 	job.next = hi
 	if live && job.next < len(job.pages) {
@@ -259,18 +256,9 @@ func (k *Kernel) scheduleReplicaDrop(id FuncID, key Key, backups []memsim.Machin
 		binary.LittleEndian.PutUint64(req[8:], uint64(id))
 		binary.LittleEndian.PutUint64(req[16:], uint64(key))
 		for _, b := range backups {
-			_, _ = k.callCat(k.replMeter, simtime.CatReplicate, b, ReplDropEndpoint, req)
+			_, _ = k.transport.CallCat(k.replMeter, simtime.CatReplicate, b, ReplDropEndpoint, req)
 		}
 	})
-}
-
-func (k *Kernel) writePagesCat(m *simtime.Meter, cat simtime.Category, target memsim.MachineID, reqs []rdma.PageWrite) error {
-	if wp, ok := k.transport.(interface {
-		WritePagesCat(*simtime.Meter, simtime.Category, memsim.MachineID, []rdma.PageWrite) error
-	}); ok {
-		return wp.WritePagesCat(m, cat, target, reqs)
-	}
-	return k.transport.WritePages(m, target, reqs)
 }
 
 // --- Backup-side handlers ---
@@ -421,7 +409,7 @@ func (k *Kernel) replicaAuthCall(m *simtime.Meter, b, origin memsim.MachineID, i
 	binary.LittleEndian.PutUint64(req[24:], uint64(consumer))
 	binary.LittleEndian.PutUint64(req[32:], start)
 	binary.LittleEndian.PutUint64(req[40:], end)
-	resp, err := k.callCat(m, simtime.CatMap, b, ReplicaEndpoint, req)
+	resp, err := k.transport.CallCat(m, simtime.CatMap, b, ReplicaEndpoint, req)
 	if err != nil {
 		return 0, false, nil, nil, err
 	}

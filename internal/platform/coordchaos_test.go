@@ -140,11 +140,11 @@ func TestChaosCoordinatorCrash(t *testing.T) {
 		t.Fatalf("coordinator epoch = %d, want 2", got)
 	}
 	for i, k := range e.Cluster.Kernels {
-		if got := k.CtrlEpoch(); got != 2 {
+		if got := k.CtrlShardEpoch(0); got != 2 {
 			t.Fatalf("kernel %d epoch = %d, want 2", i, got)
 		}
 	}
-	if err := e.Cluster.Kernels[0].DeregisterMemFenced(1, kernel.FuncID(424242), kernel.Key(7)); !errors.Is(err, kernel.ErrStaleEpoch) {
+	if err := e.Cluster.Kernels[0].DeregisterMemFencedShard(0, 1, kernel.FuncID(424242), kernel.Key(7)); !errors.Is(err, kernel.ErrStaleEpoch) {
 		t.Fatalf("stale-epoch reclaim returned %v, want ErrStaleEpoch", err)
 	}
 
@@ -192,7 +192,7 @@ func TestChaosCoordinatorEpochFencing(t *testing.T) {
 		e.Cluster.Sim.At(staleAt, func() {
 			for _, k := range e.Cluster.Kernels {
 				for _, rl := range k.ListRegistrations() {
-					switch err := k.DeregisterMemFenced(1, rl.ID, rl.Key); {
+					switch err := k.DeregisterMemFencedShard(0, 1, rl.ID, rl.Key); {
 					case err == nil:
 						executed++
 					case errors.Is(err, kernel.ErrStaleEpoch):

@@ -9,9 +9,7 @@ import (
 // the target machine — the mixed-fabric building block: a machine keeps a
 // SimFabric NIC for intra-rack traffic and a TCPFabric NIC for links the
 // topology marks as TCP, and the mux picks per operation. Both inner
-// transports must share the owner machine. The category-attributed
-// interfaces are preserved through the mux with the same assertion
-// fallback the faults wrappers use.
+// transports must share the owner machine.
 type Mux struct {
 	a, b  Transport
 	pick  func(target memsim.MachineID) bool // true → b
@@ -44,15 +42,9 @@ func (x *Mux) ReadPages(m *simtime.Meter, target memsim.MachineID, reqs []PageRe
 	return x.route(target).ReadPages(m, target, reqs)
 }
 
-// ReadPagesCat forwards category-attributed batches to the chosen inner.
+// ReadPagesCat implements Transport.
 func (x *Mux) ReadPagesCat(m *simtime.Meter, cat simtime.Category, target memsim.MachineID, reqs []PageRead) error {
-	inner := x.route(target)
-	if rp, ok := inner.(interface {
-		ReadPagesCat(*simtime.Meter, simtime.Category, memsim.MachineID, []PageRead) error
-	}); ok {
-		return rp.ReadPagesCat(m, cat, target, reqs)
-	}
-	return inner.ReadPages(m, target, reqs)
+	return x.route(target).ReadPagesCat(m, cat, target, reqs)
 }
 
 // WritePages implements Transport.
@@ -60,15 +52,9 @@ func (x *Mux) WritePages(m *simtime.Meter, target memsim.MachineID, reqs []PageW
 	return x.route(target).WritePages(m, target, reqs)
 }
 
-// WritePagesCat forwards category-attributed write batches.
+// WritePagesCat implements Transport.
 func (x *Mux) WritePagesCat(m *simtime.Meter, cat simtime.Category, target memsim.MachineID, reqs []PageWrite) error {
-	inner := x.route(target)
-	if wp, ok := inner.(interface {
-		WritePagesCat(*simtime.Meter, simtime.Category, memsim.MachineID, []PageWrite) error
-	}); ok {
-		return wp.WritePagesCat(m, cat, target, reqs)
-	}
-	return inner.WritePages(m, target, reqs)
+	return x.route(target).WritePagesCat(m, cat, target, reqs)
 }
 
 // Call implements Transport.
@@ -76,13 +62,7 @@ func (x *Mux) Call(m *simtime.Meter, target memsim.MachineID, endpoint string, r
 	return x.route(target).Call(m, target, endpoint, req)
 }
 
-// CallCat forwards category-attributed RPCs to the chosen inner.
+// CallCat implements Transport.
 func (x *Mux) CallCat(m *simtime.Meter, cat simtime.Category, target memsim.MachineID, endpoint string, req []byte) ([]byte, error) {
-	inner := x.route(target)
-	if cc, ok := inner.(interface {
-		CallCat(*simtime.Meter, simtime.Category, memsim.MachineID, string, []byte) ([]byte, error)
-	}); ok {
-		return cc.CallCat(m, cat, target, endpoint, req)
-	}
-	return inner.Call(m, target, endpoint, req)
+	return x.route(target).CallCat(m, cat, target, endpoint, req)
 }

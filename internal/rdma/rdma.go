@@ -53,6 +53,13 @@ type Transport interface {
 	WritePages(m *simtime.Meter, target memsim.MachineID, reqs []PageWrite) error
 	// Call performs an RPC to a named endpoint on the target machine.
 	Call(m *simtime.Meter, target memsim.MachineID, endpoint string, req []byte) ([]byte, error)
+
+	// ReadPagesCat, WritePagesCat and CallCat are the same operations with
+	// the fabric charge attributed to cat instead of the default category
+	// (CatFault, CatReplicate, CatMap). Wrappers must forward cat unchanged.
+	ReadPagesCat(m *simtime.Meter, cat simtime.Category, target memsim.MachineID, reqs []PageRead) error
+	WritePagesCat(m *simtime.Meter, cat simtime.Category, target memsim.MachineID, reqs []PageWrite) error
+	CallCat(m *simtime.Meter, cat simtime.Category, target memsim.MachineID, endpoint string, req []byte) ([]byte, error)
 }
 
 // Errors.

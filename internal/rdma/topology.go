@@ -361,9 +361,7 @@ func (t *Topology) stragglerMult(a, b memsim.MachineID) float64 {
 // TopoTransport wraps a Transport with the topology's link-cost model:
 // remote operations gain ToR/spine hop charges, link serialization,
 // shared-link queueing, and straggler stretching. Local operations pass
-// through untouched. The optional category-attributed interfaces
-// (CallCat/ReadPagesCat/WritePagesCat) are preserved, mirroring the faults
-// wrappers, so readahead and replication stay attributed through it.
+// through untouched.
 type TopoTransport struct {
 	inner Transport
 	topo  *Topology
@@ -404,27 +402,13 @@ func (t *TopoTransport) Read(m *simtime.Meter, target memsim.MachineID, pfn mems
 
 // ReadPages implements Transport.
 func (t *TopoTransport) ReadPages(m *simtime.Meter, target memsim.MachineID, reqs []PageRead) error {
-	return t.readPages(m, simtime.CatFault, target, reqs, false)
+	return t.ReadPagesCat(m, simtime.CatFault, target, reqs)
 }
 
-// ReadPagesCat forwards category-attributed batches through the model.
+// ReadPagesCat implements Transport.
 func (t *TopoTransport) ReadPagesCat(m *simtime.Meter, cat simtime.Category, target memsim.MachineID, reqs []PageRead) error {
-	return t.readPages(m, cat, target, reqs, true)
-}
-
-func (t *TopoTransport) readPages(m *simtime.Meter, cat simtime.Category, target memsim.MachineID, reqs []PageRead, attributed bool) error {
-	do := func() error {
-		if attributed {
-			if rp, ok := t.inner.(interface {
-				ReadPagesCat(*simtime.Meter, simtime.Category, memsim.MachineID, []PageRead) error
-			}); ok {
-				return rp.ReadPagesCat(m, cat, target, reqs)
-			}
-		}
-		return t.inner.ReadPages(m, target, reqs)
-	}
 	if target == t.owner {
-		return do()
+		return t.inner.ReadPagesCat(m, cat, target, reqs)
 	}
 	mult := t.topo.stragglerMult(t.owner, target)
 	var base simtime.Meter
@@ -435,7 +419,7 @@ func (t *TopoTransport) readPages(m *simtime.Meter, cat simtime.Category, target
 	if m != nil {
 		start = m.Total()
 	}
-	if err := do(); err != nil {
+	if err := t.inner.ReadPagesCat(m, cat, target, reqs); err != nil {
 		return err
 	}
 	total := 0
@@ -451,27 +435,13 @@ func (t *TopoTransport) readPages(m *simtime.Meter, cat simtime.Category, target
 
 // WritePages implements Transport.
 func (t *TopoTransport) WritePages(m *simtime.Meter, target memsim.MachineID, reqs []PageWrite) error {
-	return t.writePages(m, simtime.CatReplicate, target, reqs, false)
+	return t.WritePagesCat(m, simtime.CatReplicate, target, reqs)
 }
 
-// WritePagesCat forwards category-attributed write batches.
+// WritePagesCat implements Transport.
 func (t *TopoTransport) WritePagesCat(m *simtime.Meter, cat simtime.Category, target memsim.MachineID, reqs []PageWrite) error {
-	return t.writePages(m, cat, target, reqs, true)
-}
-
-func (t *TopoTransport) writePages(m *simtime.Meter, cat simtime.Category, target memsim.MachineID, reqs []PageWrite, attributed bool) error {
-	do := func() error {
-		if attributed {
-			if wp, ok := t.inner.(interface {
-				WritePagesCat(*simtime.Meter, simtime.Category, memsim.MachineID, []PageWrite) error
-			}); ok {
-				return wp.WritePagesCat(m, cat, target, reqs)
-			}
-		}
-		return t.inner.WritePages(m, target, reqs)
-	}
 	if target == t.owner {
-		return do()
+		return t.inner.WritePagesCat(m, cat, target, reqs)
 	}
 	mult := t.topo.stragglerMult(t.owner, target)
 	var base simtime.Meter
@@ -482,7 +452,7 @@ func (t *TopoTransport) writePages(m *simtime.Meter, cat simtime.Category, targe
 	if m != nil {
 		start = m.Total()
 	}
-	if err := do(); err != nil {
+	if err := t.inner.WritePagesCat(m, cat, target, reqs); err != nil {
 		return err
 	}
 	total := 0
@@ -498,27 +468,13 @@ func (t *TopoTransport) writePages(m *simtime.Meter, cat simtime.Category, targe
 
 // Call implements Transport.
 func (t *TopoTransport) Call(m *simtime.Meter, target memsim.MachineID, endpoint string, req []byte) ([]byte, error) {
-	return t.call(m, simtime.CatMap, target, endpoint, req, false)
+	return t.CallCat(m, simtime.CatMap, target, endpoint, req)
 }
 
-// CallCat forwards category-attributed RPCs through the model.
+// CallCat implements Transport.
 func (t *TopoTransport) CallCat(m *simtime.Meter, cat simtime.Category, target memsim.MachineID, endpoint string, req []byte) ([]byte, error) {
-	return t.call(m, cat, target, endpoint, req, true)
-}
-
-func (t *TopoTransport) call(m *simtime.Meter, cat simtime.Category, target memsim.MachineID, endpoint string, req []byte, attributed bool) ([]byte, error) {
-	do := func() ([]byte, error) {
-		if attributed {
-			if cc, ok := t.inner.(interface {
-				CallCat(*simtime.Meter, simtime.Category, memsim.MachineID, string, []byte) ([]byte, error)
-			}); ok {
-				return cc.CallCat(m, cat, target, endpoint, req)
-			}
-		}
-		return t.inner.Call(m, target, endpoint, req)
-	}
 	if target == t.owner {
-		return do()
+		return t.inner.CallCat(m, cat, target, endpoint, req)
 	}
 	mult := t.topo.stragglerMult(t.owner, target)
 	var base simtime.Meter
@@ -529,7 +485,7 @@ func (t *TopoTransport) call(m *simtime.Meter, cat simtime.Category, target mems
 	if m != nil {
 		start = m.Total()
 	}
-	resp, err := do()
+	resp, err := t.inner.CallCat(m, cat, target, endpoint, req)
 	if err != nil {
 		return nil, err
 	}
