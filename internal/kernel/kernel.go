@@ -82,8 +82,11 @@ type regKey struct {
 }
 
 type regEntry struct {
-	start, end   uint64
-	snapshot     map[memsim.VPN]memsim.PFN
+	start, end uint64
+	// snapshot is the VPN-ordered (vpn, frame) list MarkCoW returned; the
+	// kernel holds a shadow reference on every frame in it. It is never
+	// mutated, so replication jobs push it as-is.
+	snapshot     []memsim.PageRef
 	registeredAt simtime.Time
 	// gen is the machine's registration generation at register time; it
 	// keys consumer-side page-cache entries so frames of deregistered
@@ -237,8 +240,8 @@ func (k *Kernel) RegisterMem(as *memsim.AddressSpace, id FuncID, key Key, start,
 	if err != nil {
 		return VMMeta{}, err
 	}
-	for _, pfn := range snap {
-		k.machine.Ref(pfn)
+	for _, p := range snap {
+		k.machine.Ref(p.PFN)
 	}
 	k.mu.Lock()
 	defer k.mu.Unlock()
@@ -246,8 +249,8 @@ func (k *Kernel) RegisterMem(as *memsim.AddressSpace, id FuncID, key Key, start,
 	if old, ok := k.regs[rk]; ok {
 		// Re-registration replaces the previous shadow set; bump the
 		// generation so cached pages of the old set go stale.
-		for _, pfn := range old.snapshot {
-			k.machine.Unref(pfn)
+		for _, p := range old.snapshot {
+			k.machine.Unref(p.PFN)
 		}
 		k.memGen++
 	}
@@ -304,8 +307,8 @@ func (k *Kernel) DeregisterMem(id FuncID, key Key) error {
 	if !ok {
 		return fmt.Errorf("%w: id=%d", ErrNotRegistered, id)
 	}
-	for _, pfn := range e.snapshot {
-		k.machine.Unref(pfn)
+	for _, p := range e.snapshot {
+		k.machine.Unref(p.PFN)
 	}
 	if k.OnDeregister != nil {
 		k.OnDeregister(k.machine.ID(), e.gen+1)
@@ -377,6 +380,11 @@ func (k *Kernel) ServeTCP(s *rdma.TCPServer) {
 // auth request: id u64 | key u64 | start u64 | end u64 | consumer u64
 // auth response: count u32 | gen u64 | nback u16 | nback × (mac u64) |
 // count × (vpn u64, pfn u64)
+//
+// The records are strictly VPN-increasing (they are the registration's
+// snapshot, filtered to the range), so the reply and its cached bytes are
+// a pure function of the registration; parseAuthResponse rejects any
+// other order.
 func (k *Kernel) handleAuth(m *simtime.Meter, req []byte) ([]byte, error) {
 	if len(req) != 40 {
 		return nil, fmt.Errorf("kernel: bad auth request")
@@ -413,11 +421,11 @@ func (k *Kernel) handleAuth(m *simtime.Meter, req []byte) ([]byte, error) {
 		binary.LittleEndian.PutUint64(resp[14+8*i:], uint64(b))
 	}
 	count := 0
-	for vpn, pfn := range e.snapshot {
-		if vpn.Base() >= start && vpn.Base() < end {
+	for _, p := range e.snapshot {
+		if p.VPN.Base() >= start && p.VPN.Base() < end {
 			var rec [16]byte
-			binary.LittleEndian.PutUint64(rec[:], uint64(vpn))
-			binary.LittleEndian.PutUint64(rec[8:], uint64(pfn))
+			binary.LittleEndian.PutUint64(rec[:], uint64(p.VPN))
+			binary.LittleEndian.PutUint64(rec[8:], uint64(p.PFN))
 			resp = append(resp, rec[:]...)
 			count++
 		}

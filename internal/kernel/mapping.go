@@ -1,9 +1,11 @@
 package kernel
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"rmmap/internal/memsim"
 	"rmmap/internal/rdma"
@@ -30,7 +32,7 @@ type Mapping struct {
 	target   memsim.MachineID
 	Start    uint64
 	End      uint64
-	remotePT map[memsim.VPN]memsim.PFN
+	remotePT []memsim.PageRef // VPN-ordered; nil until authorized
 	mode     PagingMode
 	unmapped bool
 
@@ -41,14 +43,15 @@ type Mapping struct {
 	// Failover state. target stays the LOGICAL producer — it keys the page
 	// cache, so entries fetched before a crash remain valid hits after —
 	// while readTarget is the machine fabric reads actually go to. After a
-	// failover readTarget is a backup and physPT maps vpn → backup frame;
-	// until then physPT is nil and reads use remotePT on readTarget.
+	// failover readTarget is a backup and physPT is the VPN-ordered table
+	// of backup frames; until then physPT is nil and reads use remotePT on
+	// readTarget.
 	id         FuncID
 	key        Key
 	consumer   FuncID
 	backups    []memsim.MachineID
 	readTarget memsim.MachineID
-	physPT     map[memsim.VPN]memsim.PFN
+	physPT     []memsim.PageRef
 	failedOver bool
 
 	// Adaptive readahead state: raWindow is the current window in pages
@@ -58,13 +61,12 @@ type Mapping struct {
 	raNext   memsim.VPN
 
 	// Preallocated fetch scratch (zero-allocation contract, DESIGN.md
-	// §12): winBuf holds the pages of one fault (the demand page plus its
-	// readahead window), and the four parallel slices below are the read
-	// descriptors and install staging for one fetch. All grow on first use
-	// and are reused by every later fetch of this mapping. A mapping is
-	// used by one container at a time (like its address space), so the
-	// scratch needs no locking.
-	winBuf []memsim.VPN
+	// §12): the five parallel slices below are the read descriptors and
+	// install staging for one fetch. All grow on first use and are reused
+	// by every later fetch of this mapping. A mapping is used by one
+	// container at a time (like its address space), so the scratch needs
+	// no locking.
+	vpns   []memsim.VPN    // pages to install
 	locals []memsim.PFN    // freshly allocated destination frames
 	rpfns  []memsim.PFN    // producer (logical) frame numbers, cache keys
 	canon  []memsim.PFN    // canonical frames returned by cache admission
@@ -76,11 +78,18 @@ func (mp *Mapping) ensureScratch(n int) {
 	if cap(mp.locals) < n {
 		pfns := make([]memsim.PFN, 3*n) // one backing array for the three
 		mp.locals, mp.rpfns, mp.canon = pfns[:0:n], pfns[n:n:2*n], pfns[2*n:]
+		mp.vpns = make([]memsim.VPN, 0, n)
 		mp.reqs = make([]rdma.PageRead, 0, n)
 	}
+	mp.vpns = mp.vpns[:0]
 	mp.locals = mp.locals[:0]
 	mp.rpfns = mp.rpfns[:0]
 	mp.reqs = mp.reqs[:0]
+}
+
+// findPage binary-searches a VPN-ordered page table for vpn.
+func findPage(pt []memsim.PageRef, vpn memsim.VPN) (int, bool) {
+	return slices.BinarySearchFunc(pt, vpn, func(p memsim.PageRef, v memsim.VPN) int { return cmp.Compare(p.VPN, v) })
 }
 
 // Rmap implements rmap(mac_addr, id, key, vm_start, vm_end) for consumer
@@ -234,13 +243,16 @@ func (mp *Mapping) tryFailover(meter *simtime.Meter, err error) bool {
 	return mp.failover(meter) == nil
 }
 
-// physPFN maps a vpn to the frame number to read over the fabric: the
-// backup's frame after a failover, the producer's otherwise.
-func (mp *Mapping) physPFN(vpn memsim.VPN) memsim.PFN {
-	if mp.physPT != nil {
-		return mp.physPT[vpn]
+// physPFN maps a remote page to the frame number to read over the fabric:
+// the backup's frame after a failover, the producer's otherwise.
+func (mp *Mapping) physPFN(p memsim.PageRef) memsim.PFN {
+	if mp.physPT == nil {
+		return p.PFN
 	}
-	return mp.remotePT[vpn]
+	if i, ok := findPage(mp.physPT, p.VPN); ok {
+		return mp.physPT[i].PFN
+	}
+	return 0
 }
 
 // ensureFresh applies the lease fence before trusting the mapping. A dead
@@ -316,7 +328,7 @@ func (mp *Mapping) fault(as *memsim.AddressSpace, vaddr uint64, ft memsim.FaultT
 		return err
 	}
 	vpn := memsim.PageOf(vaddr)
-	rpfn, remote := mp.remotePT[vpn]
+	i, remote := findPage(mp.remotePT, vpn)
 	if !remote {
 		local := as.Machine().AllocFrame()
 		as.InstallPTE(vpn, memsim.PTE{PFN: local, Flags: memsim.FlagPresent | memsim.FlagWritable})
@@ -324,7 +336,7 @@ func (mp *Mapping) fault(as *memsim.AddressSpace, vaddr uint64, ft memsim.FaultT
 	}
 	useCache := mp.cacheable()
 	if useCache {
-		if frame, ok := mp.k.pcache.Lookup(mp.target, rpfn, mp.gen); ok {
+		if frame, ok := mp.k.pcache.Lookup(mp.target, mp.remotePT[i].PFN, mp.gen); ok {
 			meter.Charge(simtime.CatCache, mp.k.cm.CacheHitInstall)
 			// A hit at the predicted address keeps the sequential stream
 			// (and its window) alive without fetching anything.
@@ -348,8 +360,8 @@ func (mp *Mapping) fault(as *memsim.AddressSpace, vaddr uint64, ft memsim.FaultT
 		}
 		pages = mp.raWindow
 	}
-	window := mp.collectWindow(vpn, pages, useCache)
-	mp.raNext = window[len(window)-1] + 1
+	window := mp.collectWindow(i, pages, useCache)
+	mp.raNext = window[len(window)-1].VPN + 1
 	if len(window) == 1 {
 		return mp.fetch(meter, as, window, true, simtime.CatFault, useCache)
 	}
@@ -361,57 +373,53 @@ func (mp *Mapping) fault(as *memsim.AddressSpace, vaddr uint64, ft memsim.FaultT
 }
 
 // collectWindow returns the contiguous run of fetchable pages starting at
-// vpn (known remote, not present, not cached), at most max long. The run
-// stops at the first ineligible page, matching the next demand fault a
-// sequential scan would take. The returned slice is the mapping's
-// preallocated window scratch, valid until the next fault.
-func (mp *Mapping) collectWindow(vpn memsim.VPN, max int, useCache bool) []memsim.VPN {
-	if cap(mp.winBuf) < max {
-		mp.winBuf = make([]memsim.VPN, 0, max)
+// remotePT[i] (known remote, not present, not cached), at most max long.
+// The run stops at the first ineligible page or hole in the table,
+// matching the next demand fault a sequential scan would take. The window
+// is a subslice of remotePT.
+func (mp *Mapping) collectWindow(i, max int, useCache bool) []memsim.PageRef {
+	j := i + 1
+	for ; j-i < max && j < len(mp.remotePT); j++ {
+		p := mp.remotePT[j]
+		if p.VPN != mp.remotePT[j-1].VPN+1 {
+			break
+		}
+		if pte, ok := mp.as.Lookup(p.VPN); ok && pte.Present() {
+			break
+		}
+		if useCache && mp.k.pcache.Contains(mp.target, p.PFN, mp.gen) {
+			break
+		}
 	}
-	window := append(mp.winBuf[:0], vpn)
-	for next := vpn + 1; len(window) < max && next.Base() < mp.End; next++ {
-		rpfn, ok := mp.remotePT[next]
-		if !ok {
-			break
-		}
-		if pte, ok := mp.as.Lookup(next); ok && pte.Present() {
-			break
-		}
-		if useCache && mp.k.pcache.Contains(mp.target, rpfn, mp.gen) {
-			break
-		}
-		window = append(window, next)
-	}
-	mp.winBuf = window
-	return window
+	return mp.remotePT[i:j]
 }
 
-// fetch resolves the remote, not-present, not-cached pages vpns — the one
-// fetch path behind demand faults, readahead windows and Prefetch. It
-// allocates the destination frames, reads straight into them (no staging
-// buffer), fails over to a replica and retries once if the read target
-// crashed, and installs. A demand fetch is one page read with a single
+// fetch resolves the remote, not-present, not-cached pages (entries of
+// remotePT) — the one fetch path behind demand faults, readahead windows
+// and Prefetch. It allocates the destination frames, reads straight into
+// them (no staging buffer), fails over to a replica and retries once if the
+// read target crashed, and installs. A demand fetch is one page read with a single
 // one-sided Read (a page RPC under PagingRPC); anything else is one
 // doorbell batch charged to cat. Without the cache the frames stay private
 // writable copies — the original CoW coherency model. With it they are
 // admitted, installed CoW-shared, and only then is the cache trimmed: the
 // address space holds its references before eviction can free a frame.
-func (mp *Mapping) fetch(meter *simtime.Meter, as *memsim.AddressSpace, vpns []memsim.VPN, demand bool, cat simtime.Category, useCache bool) error {
+func (mp *Mapping) fetch(meter *simtime.Meter, as *memsim.AddressSpace, pages []memsim.PageRef, demand bool, cat simtime.Category, useCache bool) error {
 	mach := as.Machine()
-	mp.ensureScratch(len(vpns))
-	for _, vpn := range vpns {
+	mp.ensureScratch(len(pages))
+	for _, p := range pages {
 		local := mach.AllocFrameUnzeroed()
+		mp.vpns = append(mp.vpns, p.VPN)
 		mp.locals = append(mp.locals, local)
-		mp.rpfns = append(mp.rpfns, mp.remotePT[vpn])
-		mp.reqs = append(mp.reqs, rdma.PageRead{PFN: mp.physPFN(vpn), Buf: mach.BorrowFrame(local)})
+		mp.rpfns = append(mp.rpfns, p.PFN)
+		mp.reqs = append(mp.reqs, rdma.PageRead{PFN: mp.physPFN(p), Buf: mach.BorrowFrame(local)})
 	}
 	err := mp.read(meter, demand, cat)
 	if err != nil && mp.tryFailover(meter, err) {
 		// Failover re-points reads at a backup's frames; the destination
 		// buffers stay the same.
-		for i, vpn := range vpns {
-			mp.reqs[i].PFN = mp.physPFN(vpn)
+		for i, p := range pages {
+			mp.reqs[i].PFN = mp.physPFN(p)
 		}
 		err = mp.read(meter, demand, cat)
 	}
@@ -424,14 +432,14 @@ func (mp *Mapping) fetch(meter *simtime.Meter, as *memsim.AddressSpace, vpns []m
 	}
 	mach.SealFrames(mp.locals)
 	if !useCache {
-		for i, vpn := range vpns {
+		for i, vpn := range mp.vpns {
 			as.InstallPTE(vpn, memsim.PTE{PFN: mp.locals[i], Flags: memsim.FlagPresent | memsim.FlagWritable})
 		}
 		return nil
 	}
-	canon := mp.canon[:len(vpns)]
+	canon := mp.canon[:len(pages)]
 	mp.k.pcache.InsertBatch(mp.target, mp.gen, mp.rpfns, mp.locals, canon)
-	as.InstallSharedBatch(vpns, canon)
+	as.InstallSharedBatch(mp.vpns, canon)
 	mp.k.pcache.TrimToBudget(meter, mp.k.cm)
 	return nil
 }
@@ -481,7 +489,7 @@ func (mp *Mapping) Prefetch(vpns []memsim.VPN) error {
 		return err
 	}
 	useCache := mp.cacheable()
-	miss := make([]memsim.VPN, 0, len(vpns))
+	miss := make([]memsim.PageRef, 0, len(vpns))
 	for _, vpn := range vpns {
 		base := vpn.Base()
 		if base < mp.Start || base >= mp.End {
@@ -490,20 +498,20 @@ func (mp *Mapping) Prefetch(vpns []memsim.VPN) error {
 		if pte, ok := mp.as.Lookup(vpn); ok && pte.Present() {
 			continue
 		}
-		rpfn, ok := mp.remotePT[vpn]
+		i, ok := findPage(mp.remotePT, vpn)
 		if !ok {
 			local := mp.as.Machine().AllocFrame()
 			mp.as.InstallPTE(vpn, memsim.PTE{PFN: local, Flags: memsim.FlagPresent | memsim.FlagWritable})
 			continue
 		}
 		if useCache {
-			if frame, hit := mp.k.pcache.Lookup(mp.target, rpfn, mp.gen); hit {
+			if frame, hit := mp.k.pcache.Lookup(mp.target, mp.remotePT[i].PFN, mp.gen); hit {
 				meter.Charge(simtime.CatCache, mp.k.cm.CacheHitInstall)
 				mp.as.InstallShared(vpn, frame)
 				continue
 			}
 		}
-		miss = append(miss, vpn)
+		miss = append(miss, mp.remotePT[i])
 	}
 	if len(miss) == 0 {
 		return nil

@@ -3,7 +3,6 @@ package kernel
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
 
 	"rmmap/internal/memsim"
 	"rmmap/internal/rdma"
@@ -51,14 +50,6 @@ type replicaEntry struct {
 	pages      []replicaPage
 }
 
-// replPage is a producer-side (vpn, pfn) pair, sorted by vpn so the push
-// order — and therefore the whole virtual-time schedule — is
-// deterministic despite map iteration.
-type replPage struct {
-	vpn memsim.VPN
-	pfn memsim.PFN
-}
-
 type replTarget struct {
 	mac    memsim.MachineID
 	locals []memsim.PFN // backup frames aligned with the job's pages
@@ -70,7 +61,7 @@ type replJob struct {
 	key        Key
 	gen        uint64
 	start, end uint64
-	pages      []replPage
+	pages      []memsim.PageRef // the registration's VPN-ordered snapshot
 	targets    []*replTarget
 	next       int // pages pushed so far
 }
@@ -121,14 +112,9 @@ func (k *Kernel) scheduleReplicationLocked(rk regKey, e *regEntry) {
 	if len(e.backups) == 0 || k.replSched == nil || len(e.snapshot) == 0 {
 		return
 	}
-	pages := make([]replPage, 0, len(e.snapshot))
-	for vpn, pfn := range e.snapshot {
-		pages = append(pages, replPage{vpn, pfn})
-	}
-	sort.Slice(pages, func(i, j int) bool { return pages[i].vpn < pages[j].vpn })
 	job := &replJob{
 		id: rk.id, key: rk.key, gen: e.gen,
-		start: e.start, end: e.end, pages: pages,
+		start: e.start, end: e.end, pages: e.snapshot,
 	}
 	for _, b := range e.backups {
 		job.targets = append(job.targets, &replTarget{mac: b})
@@ -166,8 +152,8 @@ func (k *Kernel) replPrepare(job *replJob) {
 	binary.LittleEndian.PutUint64(req[40:], job.end)
 	binary.LittleEndian.PutUint32(req[48:], uint32(len(job.pages)))
 	for i, p := range job.pages {
-		binary.LittleEndian.PutUint64(req[52+16*i:], uint64(p.vpn))
-		binary.LittleEndian.PutUint64(req[52+16*i+8:], uint64(p.pfn))
+		binary.LittleEndian.PutUint64(req[52+16*i:], uint64(p.VPN))
+		binary.LittleEndian.PutUint64(req[52+16*i+8:], uint64(p.PFN))
 	}
 	live := false
 	for _, t := range job.targets {
@@ -205,7 +191,7 @@ func (k *Kernel) replStep(job *replJob) {
 	buf := make([]byte, (hi-lo)*memsim.PageSize)
 	page := func(i int) []byte { return buf[(i-lo)*memsim.PageSize:][:memsim.PageSize] }
 	for i := lo; i < hi; i++ {
-		k.machine.ReadFrame(job.pages[i].pfn, 0, page(i))
+		k.machine.ReadFrame(job.pages[i].PFN, 0, page(i))
 	}
 	commit := make([]byte, 28)
 	binary.LittleEndian.PutUint64(commit, uint64(k.machine.ID()))
@@ -266,6 +252,10 @@ func (k *Kernel) scheduleReplicaDrop(id FuncID, key Key, backups []memsim.Machin
 // prep request: origin u64 | id u64 | key u64 | gen u64 | start u64 |
 // end u64 | count u32 | count × (vpn u64, prodPFN u64)
 // prep response: count × (localPFN u64)
+//
+// The records are strictly VPN-increasing (the producer pushes its
+// snapshot as-is); the replica keeps that order, which is the order
+// handleReplicaAuth replies in.
 func (k *Kernel) handleReplPrepare(m *simtime.Meter, req []byte) ([]byte, error) {
 	if len(req) < 52 {
 		return nil, fmt.Errorf("kernel: bad replica prepare request")
@@ -279,6 +269,11 @@ func (k *Kernel) handleReplPrepare(m *simtime.Meter, req []byte) ([]byte, error)
 	count := int(binary.LittleEndian.Uint32(req[48:]))
 	if len(req) != 52+16*count {
 		return nil, fmt.Errorf("kernel: bad replica prepare length")
+	}
+	for i := 1; i < count; i++ {
+		if binary.LittleEndian.Uint64(req[52+16*i:]) <= binary.LittleEndian.Uint64(req[52+16*(i-1):]) {
+			return nil, fmt.Errorf("%w: replica prepare record %d", ErrRecordOrder, i)
+		}
 	}
 	e := &replicaEntry{start: start, end: end, gen: gen, total: count,
 		pages: make([]replicaPage, count)}
@@ -354,7 +349,7 @@ func (k *Kernel) handleReplDrop(m *simtime.Meter, req []byte) ([]byte, error) {
 // replica auth request: origin u64 | id u64 | key u64 | consumer u64 |
 // start u64 | end u64
 // replica auth response: gen u64 | complete u8 | count u32 |
-// count × (vpn u64, prodPFN u64, localPFN u64)
+// count × (vpn u64, prodPFN u64, localPFN u64), strictly VPN-increasing
 //
 // Like the producer's auth RPC, possession of (id, key) is the
 // credential; the producer's ACL is not replicated, so ACL-restricted
@@ -399,9 +394,9 @@ func (k *Kernel) handleReplicaAuth(m *simtime.Meter, req []byte) ([]byte, error)
 }
 
 // replicaAuthCall queries backup b for origin's replica page table,
-// returning the replica generation, completeness, and the logical
-// (producer) and physical (backup) page tables for [start, end).
-func (k *Kernel) replicaAuthCall(m *simtime.Meter, b, origin memsim.MachineID, id FuncID, key Key, start, end uint64, consumer FuncID) (gen uint64, complete bool, logical, phys map[memsim.VPN]memsim.PFN, err error) {
+// returning the replica generation, completeness, and the VPN-ordered
+// logical (producer) and physical (backup) page tables for [start, end).
+func (k *Kernel) replicaAuthCall(m *simtime.Meter, b, origin memsim.MachineID, id FuncID, key Key, start, end uint64, consumer FuncID) (gen uint64, complete bool, logical, phys []memsim.PageRef, err error) {
 	req := make([]byte, 48)
 	binary.LittleEndian.PutUint64(req, uint64(origin))
 	binary.LittleEndian.PutUint64(req[8:], uint64(id))

@@ -4,21 +4,39 @@ package kernel
 // call sites so they can be fuzzed directly: both run on bytes that crossed
 // a (possibly real TCP) fabric, so they must reject any malformed input
 // with an error rather than panic or over-allocate.
+//
+// Both replies carry page records in strictly increasing VPN order — the
+// order of the registration's snapshot — and the decoders reject anything
+// else (out of order or a duplicate VPN) with ErrRecordOrder, so a decoded
+// page table is always a valid binary-search table.
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 
 	"rmmap/internal/memsim"
 )
 
+// ErrRecordOrder rejects a page-table reply whose records are not strictly
+// VPN-increasing.
+var ErrRecordOrder = errors.New("kernel: page records not in strictly increasing VPN order")
+
+// checkOrder validates record i's VPN against its predecessor's.
+func checkOrder(i int, vpn memsim.VPN, prev []memsim.PageRef) error {
+	if i > 0 && vpn <= prev[i-1].VPN {
+		return fmt.Errorf("%w: record %d vpn %#x after %#x", ErrRecordOrder, i, vpn, prev[i-1].VPN)
+	}
+	return nil
+}
+
 // authResponse is the decoded reply of AuthEndpoint: the registration
-// generation, the producer's authoritative backup list, and the snapshot
-// page table for the requested range.
+// generation, the producer's authoritative backup list, and the VPN-ordered
+// snapshot page table for the requested range.
 type authResponse struct {
 	gen     uint64
 	backups []memsim.MachineID
-	pages   map[memsim.VPN]memsim.PFN
+	pages   []memsim.PageRef // never nil, even when empty
 }
 
 // parseAuthResponse decodes an AuthEndpoint reply:
@@ -42,24 +60,27 @@ func parseAuthResponse(resp []byte) (authResponse, error) {
 			ar.backups[i] = memsim.MachineID(binary.LittleEndian.Uint64(resp[14+8*i:]))
 		}
 	}
-	ar.pages = make(map[memsim.VPN]memsim.PFN, count)
-	for i := 0; i < count; i++ {
-		vpn := memsim.VPN(binary.LittleEndian.Uint64(resp[hdr+i*16:]))
-		pfn := memsim.PFN(binary.LittleEndian.Uint64(resp[hdr+i*16+8:]))
-		ar.pages[vpn] = pfn
+	ar.pages = make([]memsim.PageRef, count)
+	for i := range ar.pages {
+		rec := resp[hdr+16*i:]
+		vpn := memsim.VPN(binary.LittleEndian.Uint64(rec))
+		if err := checkOrder(i, vpn, ar.pages); err != nil {
+			return authResponse{}, err
+		}
+		ar.pages[i] = memsim.PageRef{VPN: vpn, PFN: memsim.PFN(binary.LittleEndian.Uint64(rec[8:]))}
 	}
 	return ar, nil
 }
 
 // replicaAuthResponse is the decoded reply of ReplicaEndpoint: the replica
 // generation, whether replication had caught up to the registration's
-// watermark, and the logical (producer PFN) and physical (backup PFN) page
-// tables.
+// watermark, and the VPN-ordered logical (producer PFN) and physical
+// (backup PFN) page tables.
 type replicaAuthResponse struct {
 	gen      uint64
 	complete bool
-	logical  map[memsim.VPN]memsim.PFN
-	phys     map[memsim.VPN]memsim.PFN
+	logical  []memsim.PageRef
+	phys     []memsim.PageRef
 }
 
 // parseReplicaAuthResponse decodes a ReplicaEndpoint reply:
@@ -77,13 +98,17 @@ func parseReplicaAuthResponse(resp []byte) (replicaAuthResponse, error) {
 	}
 	ra := replicaAuthResponse{
 		gen: gen, complete: complete,
-		logical: make(map[memsim.VPN]memsim.PFN, count),
-		phys:    make(map[memsim.VPN]memsim.PFN, count),
+		logical: make([]memsim.PageRef, count),
+		phys:    make([]memsim.PageRef, count),
 	}
 	for i := 0; i < count; i++ {
-		vpn := memsim.VPN(binary.LittleEndian.Uint64(resp[13+24*i:]))
-		ra.logical[vpn] = memsim.PFN(binary.LittleEndian.Uint64(resp[13+24*i+8:]))
-		ra.phys[vpn] = memsim.PFN(binary.LittleEndian.Uint64(resp[13+24*i+16:]))
+		rec := resp[13+24*i:]
+		vpn := memsim.VPN(binary.LittleEndian.Uint64(rec))
+		if err := checkOrder(i, vpn, ra.logical); err != nil {
+			return replicaAuthResponse{}, err
+		}
+		ra.logical[i] = memsim.PageRef{VPN: vpn, PFN: memsim.PFN(binary.LittleEndian.Uint64(rec[8:]))}
+		ra.phys[i] = memsim.PageRef{VPN: vpn, PFN: memsim.PFN(binary.LittleEndian.Uint64(rec[16:]))}
 	}
 	return ra, nil
 }

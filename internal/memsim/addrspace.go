@@ -58,15 +58,47 @@ const (
 	SegRmap  VMAKind = "rmap"
 )
 
-// VMA is a virtual memory area: [Start, End) with a fault handler.
+// VMA is a virtual memory area: [Start, End) with a fault handler and the
+// page-table entries of its pages.
 type VMA struct {
 	Start, End uint64
 	Kind       VMAKind
 	Writable   bool
 	Fault      FaultHandler
+
+	// ptes is the region's page table, indexed by vpn − PageOf(Start). It
+	// grows to the highest page ever installed and a zero entry is absent:
+	// heap, text and rmap regions fill from their start, and the stack is
+	// never touched, so the array is as dense as the region's use.
+	ptes []PTE
 }
 
 func (v *VMA) contains(addr uint64) bool { return addr >= v.Start && addr < v.End }
+
+// pte returns the entry of vpn, a page of v.
+func (v *VMA) pte(vpn VPN) PTE {
+	if i := int(vpn - PageOf(v.Start)); i < len(v.ptes) {
+		return v.ptes[i]
+	}
+	return PTE{}
+}
+
+// setPTE stores the entry of vpn, a page of v, growing the array to it.
+func (v *VMA) setPTE(vpn VPN, pte PTE) {
+	i := int(vpn - PageOf(v.Start))
+	if n := i + 1 - len(v.ptes); n > 0 {
+		v.ptes = append(v.ptes, make([]PTE, n)...)
+	}
+	v.ptes[i] = pte
+}
+
+// PageRef names the frame behind one virtual page. A register_mem snapshot
+// and the page tables shipped to consumers are []PageRef in strictly
+// increasing VPN order.
+type PageRef struct {
+	VPN VPN
+	PFN PFN
+}
 
 // Len returns the region size in bytes.
 func (v *VMA) Len() uint64 { return v.End - v.Start }
@@ -83,15 +115,14 @@ var (
 // not safe for concurrent use; a container runs one function at a time.
 type AddressSpace struct {
 	machine *Machine
-	pt      map[VPN]PTE
-	vmas    []*VMA // sorted by Start
+	vmas    []*VMA // sorted by Start; each holds its pages' PTEs
 
 	meter *simtime.Meter
 	cm    *simtime.CostModel
 
 	faults int // cumulative fault count, for tests and factor analysis
 
-	// One-entry TLB: object reads are byte-at-a-time map lookups
+	// One-entry TLB: object reads are byte-at-a-time page-table walks
 	// otherwise. Invalidated on any page-table mutation.
 	tlbVPN   VPN
 	tlbPTE   PTE
@@ -102,7 +133,7 @@ func (as *AddressSpace) tlbLookup(vpn VPN) (PTE, bool) {
 	if as.tlbValid && as.tlbVPN == vpn {
 		return as.tlbPTE, true
 	}
-	pte, ok := as.pt[vpn]
+	pte, ok := as.Lookup(vpn)
 	if ok && pte.Present() {
 		as.tlbVPN, as.tlbPTE, as.tlbValid = vpn, pte, true
 	}
@@ -117,7 +148,7 @@ func NewAddressSpace(m *Machine, cm *simtime.CostModel) *AddressSpace {
 	if cm == nil {
 		panic("memsim: nil cost model")
 	}
-	return &AddressSpace{machine: m, pt: make(map[VPN]PTE), cm: cm}
+	return &AddressSpace{machine: m, cm: cm}
 }
 
 // Machine returns the hosting machine.
@@ -191,13 +222,18 @@ func (as *AddressSpace) FindVMA(addr uint64) *VMA {
 // VMAs returns the current mappings (sorted, not to be mutated).
 func (as *AddressSpace) VMAs() []*VMA { return as.vmas }
 
-// InstallPTE sets the page-table entry for vpn. Fault handlers use it to
-// resolve faults; the kernel uses it during CoW marking and rmap.
+// InstallPTE sets the page-table entry for vpn, which must lie inside a
+// VMA. Fault handlers use it to resolve faults; the kernel uses it during
+// CoW marking and rmap.
 func (as *AddressSpace) InstallPTE(vpn VPN, pte PTE) {
-	if old, ok := as.pt[vpn]; ok && old.Present() && old.PFN != pte.PFN {
+	v := as.FindVMA(vpn.Base())
+	if v == nil {
+		panic(fmt.Sprintf("memsim: InstallPTE at %#x outside every VMA", vpn.Base()))
+	}
+	if old := v.pte(vpn); old.Present() && old.PFN != pte.PFN {
 		as.machine.Unref(old.PFN)
 	}
-	as.pt[vpn] = pte
+	v.setPTE(vpn, pte)
 	as.tlbFlush()
 }
 
@@ -226,8 +262,12 @@ func (as *AddressSpace) InstallSharedBatch(vpns []VPN, pfns []PFN) {
 
 // Lookup returns the PTE for vpn.
 func (as *AddressSpace) Lookup(vpn VPN) (PTE, bool) {
-	pte, ok := as.pt[vpn]
-	return pte, ok
+	v := as.FindVMA(vpn.Base())
+	if v == nil {
+		return PTE{}, false
+	}
+	pte := v.pte(vpn)
+	return pte, pte != PTE{}
 }
 
 // Unmap removes the VMA exactly covering [start, end), releasing its
@@ -237,29 +277,7 @@ func (as *AddressSpace) Unmap(start, end uint64) error {
 		if v.Start == start && v.End == end {
 			as.vmas = append(as.vmas[:i], as.vmas[i+1:]...)
 			as.tlbFlush()
-			drop := func(vpn VPN, pte PTE) {
-				if pte.Present() {
-					as.machine.Unref(pte.PFN)
-				}
-				delete(as.pt, vpn)
-			}
-			if int(uint64(end-start)>>PageShift) > len(as.pt) {
-				var victims []VPN
-				for vpn := range as.pt {
-					if vpn.Base() >= start && vpn.Base() < end {
-						victims = append(victims, vpn)
-					}
-				}
-				for _, vpn := range victims {
-					drop(vpn, as.pt[vpn])
-				}
-			} else {
-				for vpn := PageOf(start); vpn.Base() < end; vpn++ {
-					if pte, ok := as.pt[vpn]; ok {
-						drop(vpn, pte)
-					}
-				}
-			}
+			as.drop(v)
 			return nil
 		}
 	}
@@ -271,13 +289,22 @@ func (as *AddressSpace) Unmap(start, end uint64) error {
 // its own references.
 func (as *AddressSpace) Release() {
 	as.tlbFlush()
-	for vpn, pte := range as.pt {
+	for _, v := range as.vmas {
+		as.drop(v)
+	}
+	as.vmas = nil
+}
+
+// drop releases the present frames of a removed VMA in VPN order, so the
+// machine's LIFO free list — and every later PFN assignment — is a pure
+// function of the page tables.
+func (as *AddressSpace) drop(v *VMA) {
+	for _, pte := range v.ptes {
 		if pte.Present() {
 			as.machine.Unref(pte.PFN)
 		}
-		delete(as.pt, vpn)
 	}
-	as.vmas = nil
+	v.ptes = nil
 }
 
 func (as *AddressSpace) handleFault(vaddr uint64, ft FaultType) error {
@@ -305,7 +332,7 @@ func (as *AddressSpace) Read(vaddr uint64, buf []byte) error {
 			if err := as.handleFault(vaddr, FaultRead); err != nil {
 				return err
 			}
-			pte = as.pt[vpn]
+			pte, _ = as.Lookup(vpn)
 			if !pte.Present() {
 				return fmt.Errorf("%w: fault handler left %#x unmapped", ErrSegFault, vaddr)
 			}
@@ -357,7 +384,7 @@ func (as *AddressSpace) Write(vaddr uint64, data []byte) error {
 func (as *AddressSpace) breakCoW(vpn VPN, pte PTE) {
 	newPFN := as.machine.CopyFrame(pte.PFN)
 	as.machine.Unref(pte.PFN)
-	as.pt[vpn] = PTE{PFN: newPFN, Flags: FlagPresent | FlagWritable}
+	as.FindVMA(vpn.Base()).setPTE(vpn, PTE{PFN: newPFN, Flags: FlagPresent | FlagWritable})
 	as.tlbFlush()
 	if as.meter != nil {
 		as.meter.Charge(simtime.CatCompute, simtime.Bytes(PageSize, as.cm.MemcpyPerByte))
@@ -365,33 +392,45 @@ func (as *AddressSpace) breakCoW(vpn VPN, pte PTE) {
 }
 
 // MarkCoW write-protects every present page in [start, end) and returns the
-// (VPN → PFN) snapshot of those pages. register_mem uses it: the snapshot
+// VPN-ordered snapshot of those pages. register_mem uses it: the snapshot
 // becomes both the shadow-copy set and the page table shipped to consumers.
-// The caller is charged CoWMarkPerPage per present page.
-func (as *AddressSpace) MarkCoW(start, end uint64) (map[VPN]PFN, error) {
+// The walk visits only the overlapping VMAs' installed entries, so a huge
+// sparse registration costs what is resident, like a real PTE walk that
+// skips absent directories. The caller is charged CoWMarkPerPage per
+// present page.
+func (as *AddressSpace) MarkCoW(start, end uint64) ([]PageRef, error) {
 	if err := checkRange(start, end); err != nil {
 		return nil, err
 	}
 	as.tlbFlush()
-	snap := make(map[VPN]PFN)
-	mark := func(vpn VPN, pte PTE) {
-		pte.Flags = (pte.Flags | FlagCoW) &^ FlagWritable
-		as.pt[vpn] = pte
-		snap[vpn] = pte.PFN
+	first, last := PageOf(start), PageOf(end)
+	// window returns the index range of v's installed entries inside
+	// [start, end).
+	window := func(v *VMA) (lo, hi VPN) {
+		base := PageOf(v.Start)
+		return max(first, base) - base, min(last-base, VPN(len(v.ptes)))
 	}
-	// Iterate whichever is smaller: the VPN range or the page table
-	// (sparse tables make huge registrations cheap, like real PTE walks
-	// that skip absent directories).
-	if int(uint64(end-start)>>PageShift) > len(as.pt) {
-		for vpn, pte := range as.pt {
-			if pte.Present() && vpn.Base() >= start && vpn.Base() < end {
-				mark(vpn, pte)
-			}
+	overlapping := as.vmas[sort.Search(len(as.vmas), func(i int) bool { return as.vmas[i].End > start }):]
+	n := 0
+	for _, v := range overlapping {
+		if v.Start >= end {
+			break
 		}
-	} else {
-		for vpn := PageOf(start); vpn.Base() < end; vpn++ {
-			if pte, ok := as.pt[vpn]; ok && pte.Present() {
-				mark(vpn, pte)
+		if lo, hi := window(v); lo < hi {
+			n += int(hi - lo)
+		}
+	}
+	snap := make([]PageRef, 0, n)
+	for _, v := range overlapping {
+		if v.Start >= end {
+			break
+		}
+		lo, hi := window(v)
+		for i := lo; i < hi; i++ {
+			pte := &v.ptes[i]
+			if pte.Present() {
+				pte.Flags = (pte.Flags | FlagCoW) &^ FlagWritable
+				snap = append(snap, PageRef{VPN: PageOf(v.Start) + i, PFN: pte.PFN})
 			}
 		}
 	}
@@ -399,17 +438,6 @@ func (as *AddressSpace) MarkCoW(start, end uint64) (map[VPN]PFN, error) {
 		as.meter.Charge(simtime.CatRegister, simtime.Scale(as.cm.CoWMarkPerPage, len(snap)))
 	}
 	return snap, nil
-}
-
-// PresentPages returns how many pages in [start,end) are mapped.
-func (as *AddressSpace) PresentPages(start, end uint64) int {
-	n := 0
-	for vpn := PageOf(start); vpn.Base() < end; vpn++ {
-		if pte, ok := as.pt[vpn]; ok && pte.Present() {
-			n++
-		}
-	}
-	return n
 }
 
 // --- small typed accessors used by the object runtime ---

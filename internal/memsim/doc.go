@@ -4,6 +4,12 @@
 // handlers. It reproduces exactly the page-table state machine the paper's
 // kernel module manipulates (§4.1), with real bytes behind every frame.
 //
+// The page table is stored per VMA: each VMA holds a dense PTE array
+// indexed by page offset from its start, grown to the highest page ever
+// installed (a zero entry is absent). A PTE therefore exists only inside a
+// VMA, lookups are one VMA search plus an index, and every walk —
+// MarkCoW's snapshot, Unmap and Release freeing frames — runs in VPN order.
+//
 // Invariants the rest of the stack relies on:
 //
 //   - Every mapped virtual page resolves to exactly one physical frame on
@@ -15,6 +21,10 @@
 //   - Page faults are the only way an unmapped access proceeds — the VMA's
 //     fault handler either installs a frame or the access fails. This is
 //     the hook kernel.Kernel uses to fetch remote pages lazily.
+//   - MarkCoW returns its snapshot as []PageRef in strictly increasing VPN
+//     order, and Unmap/Release free frames in VPN order, so the page tables
+//     shipped to consumers and the machine's LIFO free list (hence every
+//     later PFN) are pure functions of the page-table state.
 //   - All sizes are page-granular; addresses are plain uint64 virtual
 //     addresses, which is what lets objrt store raw pointers in object
 //     fields and dereference them after an rmap.

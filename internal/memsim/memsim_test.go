@@ -169,10 +169,10 @@ func TestCoWIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(snap) != 1 {
-		t.Fatalf("snapshot has %d pages, want 1 (only one touched)", len(snap))
+	if len(snap) != 1 || snap[0].VPN != PageOf(0x10000) {
+		t.Fatalf("snapshot = %v, want the one touched page", snap)
 	}
-	sharedPFN := snap[PageOf(0x10000)]
+	sharedPFN := snap[0].PFN
 	m.Ref(sharedPFN) // kernel shadow reference
 
 	// Producer overwrites: must trigger CoW break.
@@ -252,7 +252,7 @@ func TestReleaseKeepsShadowFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap, _ := as.MarkCoW(0x10000, 0x11000)
-	pfn := snap[PageOf(0x10000)]
+	pfn := snap[0].PFN
 	m.Ref(pfn) // kernel shadow
 	as.Release()
 	if m.LiveFrames() != 1 {
@@ -330,16 +330,6 @@ func TestCustomFaultHandler(t *testing.T) {
 	}
 	if as.Faults() != 1 {
 		t.Errorf("fault count = %d", as.Faults())
-	}
-}
-
-func TestPresentPages(t *testing.T) {
-	_, as := newAS(t)
-	_ = as.MapAnon(0x10000, 0x10000+8*PageSize, SegHeap, true)
-	_ = as.Write(0x10000, []byte{1})
-	_ = as.Write(0x10000+3*PageSize, []byte{1})
-	if got := as.PresentPages(0x10000, 0x10000+8*PageSize); got != 2 {
-		t.Errorf("PresentPages = %d, want 2", got)
 	}
 }
 

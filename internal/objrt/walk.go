@@ -1,6 +1,7 @@
 package objrt
 
 import (
+	"slices"
 	"sort"
 
 	"rmmap/internal/memsim"
@@ -162,10 +163,10 @@ func PlanPrefetchAdaptive(root Obj, meter *simtime.Meter) (*PrefetchPlan, bool, 
 // maxObjects (0 = unlimited) is the traversal threshold; when the budget is
 // exhausted the plan is partial and remaining pages will demand-fault.
 func PlanPrefetch(root Obj, maxObjects int, meter *simtime.Meter) (*PrefetchPlan, error) {
-	pages := make(map[memsim.VPN]struct{})
+	var pages []memsim.VPN
 	st, err := Walk(root, maxObjects, func(addr, size uint64) {
 		for vpn := memsim.PageOf(addr); vpn.Base() < addr+size; vpn++ {
-			pages[vpn] = struct{}{}
+			pages = append(pages, vpn)
 		}
 	})
 	if err != nil {
@@ -173,10 +174,6 @@ func PlanPrefetch(root Obj, maxObjects int, meter *simtime.Meter) (*PrefetchPlan
 	}
 	cm := root.rt.cm
 	meter.Charge(simtime.CatRegister, simtime.Scale(cm.TraversePerObject, st.Objects))
-	plan := &PrefetchPlan{WalkStats: st, Pages: make([]memsim.VPN, 0, len(pages))}
-	for vpn := range pages {
-		plan.Pages = append(plan.Pages, vpn)
-	}
-	sort.Slice(plan.Pages, func(i, j int) bool { return plan.Pages[i] < plan.Pages[j] })
-	return plan, nil
+	slices.Sort(pages)
+	return &PrefetchPlan{WalkStats: st, Pages: slices.Compact(pages)}, nil
 }
