@@ -1,6 +1,6 @@
 // Command rmmap-bench regenerates the paper's tables and figures. Each
 // experiment prints the rows/series of one figure of the evaluation (§5)
-// or motivation (§2.3), plus four design ablations.
+// or motivation (§2.3), or one design ablation (abl-*).
 //
 // Usage:
 //
@@ -12,9 +12,12 @@
 //
 // With no experiment IDs, all experiments run in registration order.
 // -scale shrinks payload sizes for quick runs; 1.0 is the calibrated
-// default documented in EXPERIMENTS.md. -json writes the machine-readable
-// Fig 14 grid (per-mode latency, fabric reads, cache hit rate, and the
-// faults/sec-per-core headline) to BENCH_fig14.json; combined with
+// default documented in EXPERIMENTS.md. Every number printed is virtual
+// time or a count, so stdout is byte-identical at any -workers or
+// -ctrl-shards setting; host cost is measured by the perf ledger
+// (benchmark/). -json writes the machine-readable Fig 14 grid (per-mode
+// latency, fabric reads, cache hit rate, per-category breakdown, plus the
+// failover and topology-cliff sections) to BENCH_fig14.json; combined with
 // experiment IDs it also runs those. -topology runs the Fig-14 grid and
 // the fan-out ablation on a multi-rack cluster shape — a platformbuilder
 // recipe by name or a topology JSON file (recipes, JSON schema, and the
@@ -34,7 +37,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"time"
 
 	"rmmap/internal/bench"
 	"rmmap/internal/platformbuilder"
@@ -134,12 +136,11 @@ func run() int {
 		ran++
 		fmt.Printf("=== %s — %s ===\n", e.ID, e.Title)
 		fmt.Printf("expected shape: %s\n\n", e.Expect)
-		start := time.Now()
 		if err := e.Run(os.Stdout, *scale); err != nil {
 			fmt.Fprintf(os.Stderr, "%s failed: %v\n", e.ID, err)
 			return 1
 		}
-		fmt.Printf("\n(%s completed in %v wall time)\n\n", e.ID, time.Since(start).Round(time.Millisecond))
+		fmt.Println()
 	}
 	if ran == 0 {
 		fmt.Fprintf(os.Stderr, "no experiment matched %v; known: %v\n", ids, bench.IDs())

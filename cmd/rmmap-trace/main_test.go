@@ -35,17 +35,15 @@ func TestSmokeArtifacts(t *testing.T) {
 	if len(trace.TraceEvents) == 0 {
 		t.Error("chrome trace has no events")
 	}
-	// Metrics snapshot parses and carries canonical names + aliases.
+	// Metrics snapshot parses and carries canonical names.
 	var metrics struct {
 		Counters []struct {
 			Name string `json:"name"`
 		} `json:"counters"`
-		Aliases map[string]string `json:"deprecated_aliases"`
 	}
 	mustUnmarshalFile(t, cfg.metricsPath, &metrics)
-	if len(metrics.Counters) == 0 || len(metrics.Aliases) == 0 {
-		t.Errorf("metrics snapshot incomplete: %d counters, %d aliases",
-			len(metrics.Counters), len(metrics.Aliases))
+	if len(metrics.Counters) == 0 {
+		t.Error("metrics snapshot has no counters")
 	}
 	// Profile is nonempty folded lines "stack weight".
 	prof, err := os.ReadFile(cfg.profilePath)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"rmmap/internal/admit"
@@ -185,6 +186,34 @@ func TestDifferentialDeterminismHighContention(t *testing.T) {
 	}
 	for _, w := range []int{8} {
 		diffArtifacts(t, "ml-predict-tiny-cache", ref, runHighContentionCell(t, w), w)
+	}
+}
+
+// TestDifferentialDeterminismOpenLoop is the open-loop leg: a fixed-rate
+// ML-prediction load in fig12's serving configuration (16-tree model,
+// throughput-sized batch) at small scale. The whole LoadResult of
+// Engine.RunOpenLoop — completions, latencies, pod samples, throughput
+// timeline — must be identical at every worker count.
+func TestDifferentialDeterminismOpenLoop(t *testing.T) {
+	cfg := workloads.DefaultMLPredict()
+	cfg.Images = scaleInt(300, goldenScale)
+	cfg.Trees = 16
+	run := func(workers int) platform.LoadResult {
+		e, err := platform.NewEngine(workloads.MLPredict(cfg), platform.ModeRMMAPPrefetch,
+			platform.Options{Workers: workers}, benchCluster())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e.RunOpenLoop(100, 300*simtime.Millisecond)
+	}
+	ref := run(diffWorkers[0])
+	if ref.Completed == 0 || ref.Errors > 0 {
+		t.Fatalf("reference run unhealthy: completed=%d errors=%d", ref.Completed, ref.Errors)
+	}
+	for _, w := range diffWorkers[1:] {
+		if got := run(w); !reflect.DeepEqual(ref, got) {
+			t.Errorf("open-loop LoadResult differs between workers=1 and workers=%d", w)
+		}
 	}
 }
 

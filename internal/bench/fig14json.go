@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"io"
 
-	"rmmap/internal/obs"
 	"rmmap/internal/platform"
 	"rmmap/internal/simtime"
 )
@@ -45,18 +44,6 @@ type Fig14Report struct {
 	// Topology is the topology-cliff section: the same pinned fan-out
 	// placed intra- versus cross-rack on each recipe (abl-topology).
 	Topology []TopologyRow `json:"topology_cliff,omitempty"`
-	// OpenLoop is the parallel-engine worker scaling section: the open-loop
-	// bench at Workers ∈ {1, 8}. Virtual-time fields are seeded and
-	// deterministic; wall_clock_ms and speedup depend on the host.
-	OpenLoop *OpenLoopReport `json:"openloop,omitempty"`
-	// CtrlThroughput is the sharded-control-plane metadata headline: the
-	// wall-clock register/release churn rate at shard counts {1, 16}
-	// (DESIGN.md §15). Wall-clock fields are machine-dependent.
-	CtrlThroughput *CtrlRateReport `json:"ctrl_throughput,omitempty"`
-	// MetricAliases maps this report's historical JSON keys (and the
-	// RunResult fields they came from) to the canonical obs metric names —
-	// the migration table for consumers of this file.
-	MetricAliases map[string]string `json:"metric_aliases"`
 }
 
 // CollectFig14 reruns the Fig 14 grid (every evaluated workflow × every
@@ -110,17 +97,6 @@ func CollectFig14(scale float64) (Fig14Report, error) {
 		return rep, err
 	}
 	rep.Topology = topoRows
-	ol, err := CollectOpenLoop(scale, []int{1, 8})
-	if err != nil {
-		return rep, err
-	}
-	rep.OpenLoop = &ol
-	cr, err := CollectCtrlRate([]int{1, 16}, scale)
-	if err != nil {
-		return rep, err
-	}
-	rep.CtrlThroughput = &cr
-	rep.MetricAliases = obs.FieldAliases()
 	return rep, nil
 }
 

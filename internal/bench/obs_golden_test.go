@@ -2,8 +2,11 @@ package bench
 
 import (
 	"bytes"
+	"encoding/json"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"rmmap/internal/obs"
@@ -113,9 +116,10 @@ func TestProfileGoldenFig14(t *testing.T) {
 	checkGolden(t, "fig14_wordcount_profile.folded", buf.Bytes())
 }
 
-// TestFig14JSONHasBreakdown pins the new acceptance criterion on
+// TestFig14JSONHasBreakdown pins the acceptance criterion on
 // BENCH_fig14.json: every row carries a nonempty per-category virtual-time
-// breakdown consistent with its latency, and the alias table is present.
+// breakdown consistent with its latency, and the report carries only
+// virtual-time sections.
 func TestFig14JSONHasBreakdown(t *testing.T) {
 	rep, err := CollectFig14(goldenScale)
 	if err != nil {
@@ -142,7 +146,16 @@ func TestFig14JSONHasBreakdown(t *testing.T) {
 			t.Errorf("%s/%s: breakdown total %d < latency %d", row.Workflow, row.Mode, total, row.LatencyNs)
 		}
 	}
-	if rep.MetricAliases["RunResult.Failovers"] != obs.MetricFailovers {
-		t.Errorf("metric alias table missing or wrong: %v", rep.MetricAliases)
+	raw, err := json.Marshal(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sections map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &sections); err != nil {
+		t.Fatal(err)
+	}
+	keys := slices.Sorted(maps.Keys(sections))
+	if want := []string{"failover", "rows", "scale", "topology_cliff"}; !slices.Equal(keys, want) {
+		t.Errorf("BENCH_fig14.json sections = %v, want %v", keys, want)
 	}
 }

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"time"
-
 	"rmmap/internal/objrt"
 	"rmmap/internal/platform"
 	"rmmap/internal/simtime"
@@ -153,21 +151,15 @@ func runFig5(w io.Writer, scale float64) error {
 }
 
 func runFig14(w io.Writer, scale float64) error {
-	// The wall column is host time per cell — the only machine-dependent
-	// number in the table. latency (virtual time) is identical at every
-	// -workers setting; wall is what -workers improves.
-	t := newTable(w, "workflow", "approach", "latency", "wall", "vs best baseline")
+	t := newTable(w, "workflow", "approach", "latency", "vs best baseline")
 	for _, wfb := range wfBuilders(scale) {
 		lat := map[platform.Mode]simtime.Duration{}
-		wall := map[platform.Mode]time.Duration{}
 		for _, mode := range platform.AllModes() {
-			start := time.Now()
 			res, err := runOne(wfb.Build(), mode, benchOptions())
 			if err != nil {
 				return fmt.Errorf("%s/%v: %w", wfb.Name, mode, err)
 			}
 			lat[mode] = res.Latency
-			wall[mode] = time.Since(start)
 		}
 		best := lat[platform.ModeMessaging]
 		for _, m := range []platform.Mode{platform.ModeStoragePocket, platform.ModeStorageDrTM} {
@@ -176,8 +168,7 @@ func runFig14(w io.Writer, scale float64) error {
 			}
 		}
 		for _, mode := range platform.AllModes() {
-			t.row(wfb.Name, mode, lat[mode], wall[mode].Round(time.Millisecond),
-				speedup(float64(best), float64(lat[mode])))
+			t.row(wfb.Name, mode, lat[mode], speedup(float64(best), float64(lat[mode])))
 		}
 	}
 	t.flush()

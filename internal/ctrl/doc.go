@@ -22,9 +22,10 @@
 // target shard's crash. A single-shard plane saves the exact legacy
 // durable image; multi-shard saves frame per-shard blobs in the
 // RMCSHRD1 container, each journal stamped with its shard position.
-// The throughput win is algorithmic: per-shard journals stay below the
-// snapshot trigger, eliminating the single coordinator's repeated
-// O(live-registrations) compaction re-encodes.
+// Each shard journals only the records its keys route to, and per-shard
+// journals stay below the snapshot trigger, eliminating the single
+// coordinator's repeated O(live-registrations) compaction re-encodes
+// (the abl-ctrl experiment prices both on each shard's storage meter).
 //
 // The package is a leaf: it imports only simtime, speaks uint64
 // ids/keys and int machine indices, and is sim-thread-only (no internal

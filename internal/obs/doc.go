@@ -30,7 +30,5 @@
 // subsystems it observes; everything it reports is derived from state the
 // run already produced. All iteration orders are explicitly sorted, never
 // map order. The canonical metric names in names.go are the single
-// vocabulary for counters — RunResult's historical field names (Failovers,
-// Cache.Hits, Reexecs, …) are documented as deprecated aliases so bench
-// JSON keys stay stable while new reports converge on one scheme.
+// vocabulary for counters.
 package obs

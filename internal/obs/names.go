@@ -1,8 +1,7 @@
 package obs
 
 // Canonical metric names. Every reporter in the repo (engine publishing,
-// BENCH_fig14.json breakdowns, rmmap-trace artifacts) uses these; the
-// historical RunResult field names survive only as deprecation aliases.
+// BENCH_fig14.json breakdowns, rmmap-trace artifacts) uses these.
 //
 // Naming scheme: rmmap_<subsystem>_<quantity>_<unit-or-total>. Counters end
 // in _total (or _bytes_total/_ns_total for summed quantities); histograms
@@ -74,32 +73,3 @@ const (
 	// MetricCtrlGossipRounds counts failure-detector gossip rounds.
 	MetricCtrlGossipRounds = "rmmap_ctrl_gossip_rounds_total"
 )
-
-// FieldAliases maps the deprecated, inconsistently named counters that
-// accreted on RunResult (and in bench JSON writers) to their canonical
-// metric names. The old Go fields and JSON keys keep working — this table
-// is how readers migrate. NewRegistry pre-registers these so every metrics
-// snapshot carries the mapping.
-func FieldAliases() map[string]string {
-	return map[string]string{
-		// RunResult fields.
-		"RunResult.Retries":         MetricRetries,
-		"RunResult.Fallbacks":       MetricFallbacks,
-		"RunResult.Reexecs":         MetricReexecutions,
-		"RunResult.Failovers":       MetricFailovers,
-		"RunResult.PartitionWaits":  MetricPartitionWaits,
-		"RunResult.ReplicatedBytes": MetricReplicatedBytes,
-		"RunResult.LeaseExpiries":   MetricLeaseExpiries,
-		// RunResult.Cache (kernel.CacheStats) fields.
-		"RunResult.Cache.Hits":           MetricCacheHits,
-		"RunResult.Cache.Misses":         MetricCacheMisses,
-		"RunResult.Cache.Inserts":        MetricCacheInserts,
-		"RunResult.Cache.Evictions":      MetricCacheEvictions,
-		"RunResult.Cache.ReadaheadPages": MetricReadaheadPages,
-		// BENCH_fig14.json row keys.
-		"fig14.cache_hits":      MetricCacheHits,
-		"fig14.cache_misses":    MetricCacheMisses,
-		"fig14.readahead_pages": MetricReadaheadPages,
-		"fig14.latency_ns":      MetricRunLatencyNs,
-	}
-}

@@ -86,7 +86,6 @@ type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
 	hists    map[string]*Histogram
-	aliases  map[string]string
 	// order remembers first-registration keys so Snapshot can detect
 	// duplicates cheaply; output order is always sorted, not insertion.
 	names map[string]seriesMeta
@@ -97,19 +96,13 @@ type seriesMeta struct {
 	labels Labels
 }
 
-// NewRegistry returns an empty registry with the canonical deprecation
-// aliases (see names.go) pre-registered.
+// NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	r := &Registry{
+	return &Registry{
 		counters: make(map[string]*Counter),
 		hists:    make(map[string]*Histogram),
-		aliases:  make(map[string]string),
 		names:    make(map[string]seriesMeta),
 	}
-	for old, canon := range FieldAliases() {
-		r.Alias(old, canon)
-	}
-	return r
 }
 
 // Counter returns the counter series for (name, labels), creating it at 0.
@@ -142,15 +135,6 @@ func (r *Registry) Histogram(name string, labels Labels, bounds []float64) *Hist
 	return h
 }
 
-// Alias records that the deprecated name maps to the canonical one; the
-// mapping is carried in every snapshot so downstream consumers can migrate
-// keys without guessing.
-func (r *Registry) Alias(deprecated, canonical string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.aliases[deprecated] = canonical
-}
-
 // CounterPoint is one counter series in a snapshot.
 type CounterPoint struct {
 	Name   string            `json:"name"`
@@ -171,11 +155,10 @@ type HistogramPoint struct {
 }
 
 // Snapshot is a registry's deterministic point-in-time export: series
-// sorted by (name, encoded labels), plus the deprecation-alias table.
+// sorted by (name, encoded labels).
 type Snapshot struct {
-	Counters   []CounterPoint    `json:"counters"`
-	Histograms []HistogramPoint  `json:"histograms,omitempty"`
-	Aliases    map[string]string `json:"deprecated_aliases,omitempty"`
+	Counters   []CounterPoint   `json:"counters"`
+	Histograms []HistogramPoint `json:"histograms,omitempty"`
 }
 
 // Snapshot exports the registry. Zero-valued counters are kept: a metric
@@ -205,12 +188,6 @@ func (r *Registry) Snapshot() Snapshot {
 		p := r.hists[k].point()
 		p.Name, p.Labels = m.name, m.labels.clone()
 		s.Histograms = append(s.Histograms, p)
-	}
-	if len(r.aliases) > 0 {
-		s.Aliases = make(map[string]string, len(r.aliases))
-		for k, v := range r.aliases {
-			s.Aliases[k] = v
-		}
 	}
 	return s
 }

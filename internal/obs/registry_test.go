@@ -72,9 +72,6 @@ func TestSnapshotDeterministicAndSorted(t *testing.T) {
 	if !bytes.Equal(one.Bytes(), two.Bytes()) {
 		t.Fatalf("snapshot JSON not byte-stable:\n%s\nvs\n%s", one.String(), two.String())
 	}
-	if !strings.Contains(one.String(), "deprecated_aliases") {
-		t.Fatal("snapshot lost the alias table")
-	}
 }
 
 func TestSnapshotKeepsZeroCounters(t *testing.T) {
@@ -132,30 +129,5 @@ func TestSnapshotLabelsIsolated(t *testing.T) {
 	}
 	if again.Histograms[0].Labels["mode"] != "rmmap" {
 		t.Errorf("histogram labels corrupted via snapshot: %v", again.Histograms[0].Labels)
-	}
-}
-
-func TestFieldAliasesCoverCanonicalNames(t *testing.T) {
-	// Every deprecated RunResult counter must map to a canonical name that
-	// actually exists in this package's vocabulary.
-	canon := map[string]bool{
-		MetricSimtimeNs: true, MetricRunLatencyNs: true, MetricRuns: true,
-		MetricRetries: true, MetricFallbacks: true, MetricReexecutions: true,
-		MetricFailovers: true, MetricPartitionWaits: true,
-		MetricCacheHits: true, MetricCacheMisses: true, MetricCacheInserts: true,
-		MetricCacheEvictions: true, MetricReadaheadPages: true,
-		MetricReplicatedBytes: true, MetricLeaseExpiries: true,
-	}
-	for old, c := range FieldAliases() {
-		if !canon[c] {
-			t.Errorf("alias %q maps to unknown canonical name %q", old, c)
-		}
-	}
-	for _, old := range []string{
-		"RunResult.Failovers", "RunResult.Cache.Hits", "RunResult.Reexecs",
-	} {
-		if _, ok := FieldAliases()[old]; !ok {
-			t.Errorf("inconsistently-named legacy counter %q has no alias", old)
-		}
 	}
 }
