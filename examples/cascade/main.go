@@ -10,7 +10,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"rmmap/internal/objrt"
 	"rmmap/internal/platform"
@@ -59,27 +61,34 @@ func cascade(n int) *platform.Workflow {
 }
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
 	const n = 100000
-	fmt.Printf("A→B→C with a %d-int state, B is a pure passthrough\n\n", n)
+	fmt.Fprintf(w, "A→B→C with a %d-int state, B is a pure passthrough\n\n", n)
 	for _, forward := range []bool{false, true} {
 		engine, err := platform.NewEngine(cascade(n), platform.ModeRMMAP,
 			platform.Options{ForwardRemote: forward}, platform.DefaultClusterConfig())
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		res, err := engine.Run()
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		name := "copy-based cascade (deployed design, §4.4)"
 		if forward {
 			name = "multi-hop forwarding (future work, implemented)"
 		}
-		fmt.Printf("%s\n", name)
-		fmt.Printf("  latency %v  B's copy compute: %v  B registered: %v\n",
+		fmt.Fprintf(w, "%s\n", name)
+		fmt.Fprintf(w, "  latency %v  B's copy compute: %v  B registered: %v\n",
 			res.Latency,
 			res.PerFunction["B"].Get(simtime.CatCompute),
 			res.PerFunction["B"].Get(simtime.CatRegister))
-		fmt.Printf("  C's sum: %v (identical either way)\n\n", res.Output)
+		fmt.Fprintf(w, "  C's sum: %v (identical either way)\n\n", res.Output)
 	}
+	return nil
 }

@@ -9,6 +9,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"text/tabwriter"
@@ -19,23 +20,29 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
 	cfg := workloads.DefaultFINRA()
-	cfg.Rows = 8000 // keep the example snappy; rmmap-bench runs full scale
+	cfg.Rows = 8000 // keep the example snappy; rmmap bench runs full scale
 	cfg.Rules = 50
 
-	fmt.Printf("FINRA: %d trade rows per feed, %d concurrent audit rules\n\n", cfg.Rows, cfg.Rules)
-	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	fmt.Fprintf(w, "FINRA: %d trade rows per feed, %d concurrent audit rules\n\n", cfg.Rows, cfg.Rules)
+	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "mode\tlatency\tser+des\ttransfer work\tviolations")
 	var baseline simtime.Duration
 	for _, mode := range platform.AllModes() {
 		engine, err := platform.NewEngine(workloads.FINRA(cfg), mode, platform.Options{},
 			platform.DefaultClusterConfig())
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		res, err := engine.Run()
 		if err != nil {
-			log.Fatalf("%v: %v", mode, err)
+			return fmt.Errorf("%v: %w", mode, err)
 		}
 		out := res.Output.(workloads.FINRAResult)
 		if mode == platform.ModeMessaging {
@@ -46,5 +53,6 @@ func main() {
 			res.Meter.SerTotal(), res.Meter.TransferTotal(), out.Violations)
 	}
 	tw.Flush()
-	fmt.Println("\nEvery mode computes identical violations — only the transfer mechanism differs.")
+	fmt.Fprintln(w, "\nEvery mode computes identical violations — only the transfer mechanism differs.")
+	return nil
 }

@@ -1,0 +1,20 @@
+package main
+
+import (
+	"bytes"
+	"strings"
+	"testing"
+)
+
+func TestRun(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the workflow under several modes at example scale")
+	}
+	var out bytes.Buffer
+	if err := run(&out); err != nil {
+		t.Fatal(err)
+	}
+	if first, _, _ := strings.Cut(out.String(), "\n"); first != "FINRA: 8000 trade rows per feed, 50 concurrent audit rules" {
+		t.Fatalf("first line %q", first)
+	}
+}

@@ -12,8 +12,11 @@
 package main
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"rmmap/internal/kernel"
 	"rmmap/internal/memsim"
@@ -23,6 +26,12 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
 	cm := simtime.DefaultCostModel()
 	fabric := rdma.NewSimFabric(cm)
 
@@ -42,19 +51,29 @@ func main() {
 	prodRT, err := objrt.NewRuntime(prodAS, objrt.Config{
 		HeapStart: 0x1_0000_0000, HeapEnd: 0x1_1000_0000,
 	})
-	check(err)
+	if err != nil {
+		return err
+	}
 	nums, err := prodRT.NewIntList([]int64{3, 1, 4, 1, 5, 9, 2, 6})
-	check(err)
+	if err != nil {
+		return err
+	}
 	key, err := prodRT.NewStr("digits")
-	check(err)
+	if err != nil {
+		return err
+	}
 	state, err := prodRT.NewDict([][2]objrt.Obj{{key, nums}})
-	check(err)
-	fmt.Printf("producer built state at %#x\n", state.Addr)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "producer built state at %#x\n", state.Addr)
 
 	// Step 2: register_mem.
 	meta, err := prodK.RegisterMem(prodAS, 1, 0xC0FFEE, 0x1_0000_0000, 0x1_0000_0000+16*memsim.PageSize)
-	check(err)
-	fmt.Printf("registered %d pages (CoW-marked, shadowed)\n", meta.Pages)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "registered %d pages (CoW-marked, shadowed)\n", meta.Pages)
 
 	// Step 3: rmap at the consumer.
 	consAS := memsim.NewAddressSpace(consMach, cm)
@@ -63,42 +82,53 @@ func main() {
 	consRT, err := objrt.NewRuntime(consAS, objrt.Config{
 		HeapStart: 0x9_0000_0000, HeapEnd: 0x9_1000_0000,
 	})
-	check(err)
+	if err != nil {
+		return err
+	}
 	mp, err := consK.Rmap(consAS, meta.Machine, meta.ID, meta.Key, meta.Start, meta.End)
-	check(err)
+	if err != nil {
+		return err
+	}
 	ref := consRT.AdoptRemote(state.View(consRT), mp)
 
 	// Step 4: dereference remote pointers. The dict lookup below chases
 	// producer-heap addresses; each new page costs one fault + RDMA read.
 	val, ok, err := ref.Root.DictGet("digits")
-	check(err)
+	if err != nil {
+		return err
+	}
 	if !ok {
-		log.Fatal("key missing")
+		return errors.New("key missing")
 	}
 	n, err := val.Len()
-	check(err)
+	if err != nil {
+		return err
+	}
 	sum := int64(0)
 	for i := 0; i < n; i++ {
 		e, err := val.Index(i)
-		check(err)
+		if err != nil {
+			return err
+		}
 		v, err := e.Int()
-		check(err)
+		if err != nil {
+			return err
+		}
 		sum += v
 	}
-	fmt.Printf("consumer summed %d remote ints = %d (faults: %d, charges: %v)\n",
+	fmt.Fprintf(w, "consumer summed %d remote ints = %d (faults: %d, charges: %v)\n",
 		n, sum, consAS.Faults(), meter)
 
 	// Step 5: hybrid GC — releasing the root unmaps the remote heap.
-	check(ref.Release())
+	if err := ref.Release(); err != nil {
+		return err
+	}
 	if _, err := ref.Root.Len(); err != nil {
-		fmt.Println("after release, the remote heap is unmapped (read correctly fails)")
+		fmt.Fprintln(w, "after release, the remote heap is unmapped (read correctly fails)")
 	}
-	check(prodK.DeregisterMem(meta.ID, meta.Key))
-	fmt.Println("deregistered; shadow pages reclaimed. No (de)serialization anywhere.")
-}
-
-func check(err error) {
-	if err != nil {
-		log.Fatal(err)
+	if err := prodK.DeregisterMem(meta.ID, meta.Key); err != nil {
+		return err
 	}
+	fmt.Fprintln(w, "deregistered; shadow pages reclaimed. No (de)serialization anywhere.")
+	return nil
 }

@@ -10,7 +10,9 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"rmmap/internal/objrt"
 	"rmmap/internal/platform"
@@ -77,46 +79,53 @@ func registry() platform.HandlerRegistry {
 }
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
 	// 1. Parse the uploaded spec and bind handlers.
 	spec, err := platform.ParseSpec([]byte(specJSON))
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	wf, err := spec.Build(registry())
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("uploaded workflow %q: %d function types\n", wf.Name, len(wf.Functions))
+	fmt.Fprintf(w, "uploaded workflow %q: %d function types\n", wf.Name, len(wf.Functions))
 
 	// 2. Generate the static VM plan and persist it with the workflow.
 	plan, err := platform.GeneratePlan(wf)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	stored, err := json.Marshal(plan)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("plan: %d disjoint slots, %d bytes stored alongside the workflow\n",
+	fmt.Fprintf(w, "plan: %d disjoint slots, %d bytes stored alongside the workflow\n",
 		len(plan.Slots()), len(stored))
 
 	// 3. Restore the plan (a later execution) — corruption is rejected at
 	// load time by the disjointness check.
 	var restored platform.Plan
 	if err := json.Unmarshal(stored, &restored); err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Println("restored plan validates:", restored.Validate() == nil)
+	fmt.Fprintln(w, "restored plan validates:", restored.Validate() == nil)
 
 	// 4. Execute under RMMAP.
 	engine, err := platform.NewEngine(wf, platform.ModeRMMAPPrefetch, platform.Options{},
 		platform.DefaultClusterConfig())
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	res, err := engine.Run()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("request completed in %v, sum of squares = %v\n", res.Latency, res.Output)
+	fmt.Fprintf(w, "request completed in %v, sum of squares = %v\n", res.Latency, res.Output)
+	return nil
 }

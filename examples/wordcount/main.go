@@ -9,7 +9,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"rmmap/internal/objrt"
 	"rmmap/internal/platform"
@@ -17,25 +19,32 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
 	for _, lang := range []objrt.Lang{objrt.LangPython, objrt.LangJava} {
 		cfg := workloads.DefaultWordCount()
 		cfg.BookBytes = 1 << 20
 		cfg.Lang = lang
-		fmt.Printf("%s runtime, %d-byte book, %d mappers\n", lang, cfg.BookBytes, cfg.Mappers)
+		fmt.Fprintf(w, "%s runtime, %d-byte book, %d mappers\n", lang, cfg.BookBytes, cfg.Mappers)
 		for _, mode := range []platform.Mode{platform.ModeMessaging, platform.ModeStorageDrTM, platform.ModeRMMAPPrefetch} {
 			engine, err := platform.NewEngine(workloads.WordCount(cfg), mode, platform.Options{},
 				platform.DefaultClusterConfig())
 			if err != nil {
-				log.Fatal(err)
+				return err
 			}
 			res, err := engine.Run()
 			if err != nil {
-				log.Fatalf("%v: %v", mode, err)
+				return fmt.Errorf("%v: %w", mode, err)
 			}
 			out := res.Output.(workloads.WordCountResult)
-			fmt.Printf("  %-16v latency %v  %d words, %d distinct, top %q\n",
+			fmt.Fprintf(w, "  %-16v latency %v  %d words, %d distinct, top %q\n",
 				mode, res.Latency, out.TotalWords, out.DistinctWords, out.TopWord)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
+	return nil
 }

@@ -26,13 +26,13 @@ type Experiment struct {
 
 // Workers is the engine worker-pool size every experiment runs with
 // (Options.Workers): 0 uses every core (GOMAXPROCS), 1 is the sequential
-// reference; rmmap-bench -workers overrides it. Results are byte-identical
+// reference; rmmap bench -workers overrides it. Results are byte-identical
 // at any setting — workers change wall-clock time only (DESIGN.md §10).
 var Workers = 0
 
 // CtrlShards is the control-plane shard count every experiment's engine
 // runs with (Options.CtrlShards): 0/1 is the single journaled coordinator;
-// rmmap-bench -ctrl-shards overrides it. Like Workers, results are
+// rmmap bench -ctrl-shards overrides it. Like Workers, results are
 // byte-identical at any setting (DESIGN.md §15) — only the rmmap_ctrl_*
 // journal counters reflect the per-shard streams.
 var CtrlShards = 0

@@ -217,7 +217,7 @@ func TestDifferentialDeterminismOpenLoop(t *testing.T) {
 	}
 }
 
-// chaosScenario mirrors one rmmap-chaos CLI invocation of an example plan.
+// chaosScenario mirrors one rmmap chaos CLI invocation of an example plan.
 type chaosScenario struct {
 	name string
 	plan string // path to the checked-in plan JSON
@@ -227,28 +227,28 @@ type chaosScenario struct {
 func chaosScenarios() []chaosScenario {
 	rec := platform.DefaultRecoveryPolicy()
 	return []chaosScenario{
-		// rmmap-chaos -workflow finra -small -replicas 1 -plan plans/crash-failover.json
+		// rmmap chaos -workflow finra -small -replicas 1 -plan plans/crash-failover.json
 		{
 			name: "crash-failover",
-			plan: "../../cmd/rmmap-chaos/plans/crash-failover.json",
+			plan: "../../cmd/rmmap/plans/crash-failover.json",
 			opts: platform.Options{Trace: true, Recovery: rec, Replicas: 1},
 		},
-		// rmmap-chaos -workflow finra -small -replicas 1 -plan plans/partition-heal.json
+		// rmmap chaos -workflow finra -small -replicas 1 -plan plans/partition-heal.json
 		{
 			name: "partition-heal",
-			plan: "../../cmd/rmmap-chaos/plans/partition-heal.json",
+			plan: "../../cmd/rmmap/plans/partition-heal.json",
 			opts: platform.Options{Trace: true, Recovery: rec, Replicas: 1},
 		},
-		// rmmap-chaos -workflow finra -small -replicas 1 -plan plans/coordinator-crash.json
+		// rmmap chaos -workflow finra -small -replicas 1 -plan plans/coordinator-crash.json
 		{
 			name: "coordinator-crash",
-			plan: "../../cmd/rmmap-chaos/plans/coordinator-crash.json",
+			plan: "../../cmd/rmmap/plans/coordinator-crash.json",
 			opts: platform.Options{Trace: true, Recovery: rec, Replicas: 1},
 		},
-		// rmmap-chaos -workflow finra -small -replicas 1 -plan plans/coordinator-recover-partition.json
+		// rmmap chaos -workflow finra -small -replicas 1 -plan plans/coordinator-recover-partition.json
 		{
 			name: "coordinator-recover-partition",
-			plan: "../../cmd/rmmap-chaos/plans/coordinator-recover-partition.json",
+			plan: "../../cmd/rmmap/plans/coordinator-recover-partition.json",
 			opts: platform.Options{Trace: true, Recovery: rec, Replicas: 1},
 		},
 	}
@@ -306,7 +306,7 @@ func runChaosScenario(t *testing.T, sc chaosScenario, workers int) runArtifacts 
 }
 
 // TestDifferentialDeterminismChaosPlans replays the example chaos plans
-// shipped with rmmap-chaos (crash-failover, partition-heal, and the two
+// shipped with rmmap chaos (crash-failover, partition-heal, and the two
 // coordinator outage schedules) in-process at each worker count and
 // requires byte-identical artifacts: fault injection, failover, partition
 // waits, and coordinator crash/recovery (epoch bumps, journal appends,
@@ -427,8 +427,8 @@ func TestDifferentialDeterminismShardedCtrl(t *testing.T) {
 // byte-identical report JSON at Workers ∈ {1, 8} and across two fresh runs.
 func TestDifferentialDeterminismScaleReport(t *testing.T) {
 	for _, plan := range []struct{ name, path string }{
-		{"crash-failover", "../../cmd/rmmap-chaos/plans/crash-failover.json"},
-		{"partition-heal", "../../cmd/rmmap-chaos/plans/partition-heal.json"},
+		{"crash-failover", "../../cmd/rmmap/plans/crash-failover.json"},
+		{"partition-heal", "../../cmd/rmmap/plans/partition-heal.json"},
 	} {
 		p, err := faults.LoadPlan(plan.path)
 		if err != nil {

@@ -2,7 +2,7 @@
 // evaluation (§5) plus the motivation figures (§2.3) and four design
 // ablations. Each experiment prints the same rows/series the paper
 // reports; EXPERIMENTS.md records the expected shapes and the measured
-// outcomes. cmd/rmmap-bench is a thin wrapper around this package.
+// outcomes. rmmap bench (cmd/rmmap) is a thin wrapper around this package.
 //
 // Invariants:
 //

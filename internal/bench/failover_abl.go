@@ -97,7 +97,7 @@ func collectFailoverWorkflow(name string, build func() *platform.Workflow) []Fai
 		opts platform.Options
 	}{
 		{"failover", crash, platform.Options{Recovery: rec, Replicas: 1}},
-		{"reexec", crash, platform.Options{Recovery: rec, NoReplication: true}},
+		{"reexec", crash, platform.Options{Recovery: rec}},
 		{"degrade", faults.Plan{
 			Seed: ablFailoverSeed,
 			Rules: []faults.Rule{{
@@ -110,7 +110,6 @@ func collectFailoverWorkflow(name string, build func() *platform.Workflow) []Fai
 				MaxReexecutions: 64,
 				DegradeAfter:    1,
 			},
-			NoReplication: true,
 		}},
 	}
 	rows := make([]FailoverRow, 0, len(arms))

@@ -16,7 +16,7 @@ type Fig14Row struct {
 	Mode     string `json:"mode"`
 	// Topology is the cluster shape the cell ran on: "flat" for the classic
 	// single-rack cluster, otherwise the recipe or topology-file name
-	// selected with rmmap-bench -topology.
+	// selected with rmmap bench -topology.
 	Topology            string  `json:"topology"`
 	LatencyNs           int64   `json:"latency_ns"`
 	FabricOneSidedReads int     `json:"fabric_one_sided_reads"`
@@ -34,7 +34,7 @@ type Fig14Row struct {
 	BreakdownNs map[string]int64 `json:"simtime_breakdown_ns"`
 }
 
-// Fig14Report is what `rmmap-bench -json` writes to BENCH_fig14.json.
+// Fig14Report is what `rmmap bench -json` writes to BENCH_fig14.json.
 // Failover is the abl-failover recovery comparison (failover vs.
 // re-execution vs. degradation) over the same workflows.
 type Fig14Report struct {

@@ -11,7 +11,7 @@ import (
 
 // Topology selects the cluster shape the Fig-14 JSON grid and the fan-out
 // ablation run on: "" (or "flat") is the classic flat cluster, anything
-// else is a platformbuilder recipe name or topology JSON path. rmmap-bench
+// else is a platformbuilder recipe name or topology JSON path. rmmap bench
 // -topology sets it. abl-topology ignores it — that experiment sweeps
 // shapes itself.
 var Topology = ""

@@ -20,7 +20,7 @@ type WorkflowBuilder struct {
 }
 
 // Workflows returns the four evaluated workflows (§5.1) at the given
-// scale — the registry cmd/rmmap-trace and the fig14 grid both draw from.
+// scale — the registry rmmap trace and the fig14 grid both draw from.
 func Workflows(scale float64) []WorkflowBuilder {
 	finra := workloads.DefaultFINRA()
 	finra.Rows = scaleInt(finra.Rows, scale)

@@ -369,8 +369,8 @@ func less(a, b RegRef) bool {
 // Save returns the durable image (snapshot + journal tail) as one blob.
 func (c *Coordinator) Save() []byte { return EncodeSave(c.snap, c.log) }
 
-// SaveFile writes the durable image to path (for rmmap-plan -verify and
-// rmmap-chaos -ctrl-journal).
+// SaveFile writes the durable image to path (for rmmap plan -verify and
+// rmmap chaos -ctrl-journal).
 func (c *Coordinator) SaveFile(path string) error {
 	return os.WriteFile(path, c.Save(), 0o644)
 }

@@ -324,8 +324,8 @@ func (s *Sharded) Save() []byte {
 	return EncodeShardedSave(saves)
 }
 
-// SaveFile writes the durable image to path (rmmap-chaos -ctrl-journal;
-// audited by rmmap-plan -verify).
+// SaveFile writes the durable image to path (rmmap chaos -ctrl-journal;
+// audited by rmmap plan -verify).
 func (s *Sharded) SaveFile(path string) error {
 	return os.WriteFile(path, s.Save(), 0o644)
 }

@@ -8,7 +8,7 @@ import (
 
 // FuzzParsePlan throws arbitrary bytes at the JSON plan parser. ParsePlan
 // guards the only external input surface of the chaos tooling
-// (rmmap-chaos -plan), so it must never panic, and any plan it accepts
+// (rmmap chaos -plan), so it must never panic, and any plan it accepts
 // must satisfy the invariants the injector assumes.
 func FuzzParsePlan(f *testing.F) {
 	f.Add([]byte(`{}`))

@@ -10,7 +10,7 @@ import (
 	"rmmap/internal/simtime"
 )
 
-// JSON plan format (cmd/rmmap-chaos -plan). Sites are named ("rdma-read",
+// JSON plan format (rmmap chaos -plan). Sites are named ("rdma-read",
 // "doorbell", "rpc", "tcp-dial", "tcp-roundtrip", "rdma-write"), times are
 // Go duration strings measured from virtual time 0, and machine -1 (or an
 // omitted target) means any machine. Example:

@@ -33,7 +33,7 @@ type SoakSpec struct {
 	CtrlShards int
 	// Topology selects the cluster shape: "" (or "flat") is the classic
 	// flat cluster, otherwise a platformbuilder recipe name or topology
-	// JSON file (rmmap-load -topology). Multi-rack shapes add ToR/spine
+	// JSON file (rmmap load -topology). Multi-rack shapes add ToR/spine
 	// hop and link-contention costs to every remote operation, all in
 	// virtual time — the report stays deterministic.
 	Topology string

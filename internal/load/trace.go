@@ -15,7 +15,7 @@ import (
 //	{"at_ns":12500,"tenant":"t0042","deadline_ns":2000000}
 //
 // deadline_ns is optional (0 = none / admission default). The format is
-// the load tooling's exchange surface — rmmap-load -save-trace writes it,
+// the load tooling's exchange surface — rmmap load -save-trace writes it,
 // -trace replays it — so ReadEvents validates every line and reports
 // errors positionally, like faults.ParsePlan does for fault plans.
 

@@ -263,7 +263,7 @@ func TestChaosPersistentFailureDegradesToMessaging(t *testing.T) {
 // machine crashes after replication completes; the consumer fails over to
 // the backup's replica and the workflow completes byte-identical with ZERO
 // re-executions — and in less virtual time than the same schedule forced
-// through the re-execution rung (NoReplication control).
+// through the re-execution rung (Replicas = 0 control).
 func TestChaosFailover(t *testing.T) {
 	opts := Options{Trace: true, Recovery: DefaultRecoveryPolicy(), Replicas: 1}
 
@@ -311,16 +311,16 @@ func TestChaosFailover(t *testing.T) {
 	// Control arm: the identical schedule with replication forced off must
 	// still recover — via re-execution — and pay more virtual time for it.
 	ctlOpts := opts
-	ctlOpts.NoReplication = true
+	ctlOpts.Replicas = 0
 	ctl := runChaosWith(t, pipelineWorkflow(1000), plan, ctlOpts)
 	if ctl.Err != nil || ctl.Output != pipelineSum {
-		t.Fatalf("NoReplication control: err=%v output=%v", ctl.Err, ctl.Output)
+		t.Fatalf("Replicas=0 control: err=%v output=%v", ctl.Err, ctl.Output)
 	}
 	if ctl.Reexecs < 1 {
-		t.Fatalf("NoReplication control recovered without re-execution (reexecs=%d)", ctl.Reexecs)
+		t.Fatalf("Replicas=0 control recovered without re-execution (reexecs=%d)", ctl.Reexecs)
 	}
 	if ctl.Failovers != 0 || ctl.ReplicatedBytes != 0 {
-		t.Fatalf("NoReplication control replicated/failed over: %d/%d", ctl.ReplicatedBytes, ctl.Failovers)
+		t.Fatalf("Replicas=0 control replicated/failed over: %d/%d", ctl.ReplicatedBytes, ctl.Failovers)
 	}
 	if res.Latency >= ctl.Latency {
 		t.Fatalf("failover latency %v not below re-execution latency %v", res.Latency, ctl.Latency)

@@ -1378,7 +1378,7 @@ func (e *Engine) installSharedText(c *Container) {
 	e.textMu.Lock()
 	pfns := e.textFrames[key]
 	if pfns == nil {
-		n := e.opts.textPages()
+		n := DefaultTextPages
 		pfns = make([]memsim.PFN, 0, n)
 		for i := 0; i < n; i++ {
 			pfns = append(pfns, c.Pod.Machine.AllocFrame())
@@ -1576,7 +1576,7 @@ func (e *Engine) produce(it *execItem, c *Container, pod *Pod, meter *simtime.Me
 					p.prefetch = plan.Pages
 				}
 			} else {
-				plan, err := objrt.PlanPrefetch(out, e.opts.PrefetchThreshold, meter)
+				plan, err := objrt.PlanPrefetch(out, 0, meter)
 				if err != nil {
 					return nil, err
 				}
@@ -1623,7 +1623,7 @@ func (e *Engine) stateIsSmall(out objrt.Obj) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	thr := uint64(e.opts.smallThreshold())
+	thr := uint64(DefaultSmallState)
 	switch tag {
 	case objrt.TInt, objrt.TFloat:
 		return true, nil

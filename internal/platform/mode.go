@@ -1,7 +1,11 @@
 package platform
 
 import (
+	"fmt"
+	"maps"
 	"runtime"
+	"slices"
+	"strings"
 
 	"rmmap/internal/admit"
 	"rmmap/internal/kernel"
@@ -50,6 +54,35 @@ func AllModes() []Mode {
 	return []Mode{ModeMessaging, ModeStoragePocket, ModeStorageDrTM, ModeRMMAP, ModeRMMAPPrefetch}
 }
 
+// modeAliases are the flag-friendly spellings ParseMode accepts besides
+// the report names.
+var modeAliases = map[string]Mode{
+	"pocket":         ModeStoragePocket,
+	"storage-pocket": ModeStoragePocket,
+	"rdma":           ModeStorageDrTM,
+	"drtm":           ModeStorageDrTM,
+	"storage-rdma":   ModeStorageDrTM,
+	"storage-drtm":   ModeStorageDrTM,
+	"prefetch":       ModeRMMAPPrefetch,
+	"rmmap-prefetch": ModeRMMAPPrefetch,
+}
+
+// ParseMode resolves a transfer mode from its report name (Mode.String) or
+// a flag-friendly alias, case-insensitively.
+func ParseMode(s string) (Mode, error) {
+	want := strings.ToLower(s)
+	for _, m := range AllModes() {
+		if m.String() == want {
+			return m, nil
+		}
+	}
+	if m, ok := modeAliases[want]; ok {
+		return m, nil
+	}
+	return 0, fmt.Errorf("unknown mode %q; known: %v, aliases: %v",
+		s, AllModes(), slices.Sorted(maps.Keys(modeAliases)))
+}
+
 // RegisterScope selects what the producer registers (§6 "Map the heap vs.
 // Map the whole address space").
 type RegisterScope int
@@ -67,9 +100,6 @@ const (
 type Options struct {
 	// ZeroNetwork zeroes messaging/storage protocol costs (Fig 5).
 	ZeroNetwork bool
-	// PrefetchThreshold bounds prefetch traversal in objects
-	// (0 = unlimited, §4.4).
-	PrefetchThreshold int
 	// AdaptivePrefetch enables the sampling policy (§4.4 future work):
 	// producers decide per state whether traversal-based prefetching
 	// pays off, falling back to demand paging for object-dense graphs.
@@ -78,12 +108,6 @@ type Options struct {
 	PagingMode kernel.PagingMode
 	// Scope selects the register range.
 	Scope RegisterScope
-	// SmallStateFallback is the wire-size threshold (bytes) under which
-	// RMMAP modes fall back to messaging (§6); 0 = DefaultSmallState.
-	SmallStateFallback int
-	// ResidentTextPages models the library footprint CoW-marked in
-	// whole-space scope; 0 = DefaultTextPages.
-	ResidentTextPages int
 	// ColdStart disables pre-warming (functions pay container creation).
 	ColdStart bool
 	// DisablePlan skips address planning, giving every container the
@@ -137,10 +161,6 @@ type Options struct {
 	// producer fail over to a replica instead of waiting for
 	// re-execution. 0 disables replication (the seed behaviour).
 	Replicas int
-	// NoReplication forces replication and leases off even when Replicas
-	// is set — the control arm of the abl-failover experiment, which must
-	// recover via re-execution alone.
-	NoReplication bool
 	// NoPageCache disables the machine-level remote page cache (the
 	// fan-out ablation's negative control); default is enabled with
 	// kernel.DefaultPageCacheBytes.
@@ -178,23 +198,17 @@ type Options struct {
 	CtrlShards int
 }
 
-// DefaultSmallState is the messaging-fallback threshold: at or below this
-// estimated wire size, serializing is cheaper than register+rmap.
+// DefaultSmallState is the messaging-fallback threshold (§6): at or below
+// this estimated wire size, serializing is cheaper than register+rmap.
 const DefaultSmallState = 512
 
-// DefaultTextPages is the default resident library footprint (4 MB).
+// DefaultTextPages is the resident library footprint (4 MB) CoW-marked in
+// whole-space scope.
 const DefaultTextPages = 1024
-
-func (o Options) smallThreshold() int {
-	if o.SmallStateFallback > 0 {
-		return o.SmallStateFallback
-	}
-	return DefaultSmallState
-}
 
 // replicas resolves the effective backup count on an n-machine cluster.
 func (o Options) replicas(machines int) int {
-	if o.NoReplication || o.Replicas <= 0 {
+	if o.Replicas <= 0 {
 		return 0
 	}
 	r := o.Replicas
@@ -218,13 +232,6 @@ func (o Options) workerCount() int {
 		return o.Workers
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-func (o Options) textPages() int {
-	if o.ResidentTextPages > 0 {
-		return o.ResidentTextPages
-	}
-	return DefaultTextPages
 }
 
 // registerRange returns what the producer registers under the scope.

@@ -121,7 +121,7 @@ func (p *Plan) Slot(id SlotID) (Layout, bool) {
 func (p *Plan) Slots() []SlotID { return p.order }
 
 // Validate re-checks the disjointness invariant (used by tests and the
-// rmmap-plan tool).
+// rmmap plan subcommand).
 func (p *Plan) Validate() error {
 	type entry struct {
 		id SlotID

@@ -12,45 +12,44 @@ import (
 // contiguous blocks (rack 0 gets the first ⌈N/R⌉ IDs and so on), so a
 // recipe's rack membership is obvious from the machine ID alone.
 type recipe struct {
-	racks    int
-	describe string
-	build    func(b *Builder, machines int) *Builder
+	racks int
+	build func(b *Builder, machines int) *Builder
 }
 
 var recipes = map[string]recipe{
+	// one rack, uniform link cost — the classic pre-topology cluster.
 	"flat": {
-		racks:    1,
-		describe: "one rack, uniform link cost — the classic pre-topology cluster",
-		build:    func(b *Builder, machines int) *Builder { return b },
+		racks: 1,
+		build: func(b *Builder, machines int) *Builder { return b },
 	},
+	// two racks behind one spine hop, default 100 Gbps ToR / oversubscribed 6.4 Gbps spine links.
 	"two-rack": {
-		racks:    2,
-		describe: "two racks behind one spine hop, default 100 Gbps ToR / oversubscribed 6.4 Gbps spine links",
+		racks: 2,
 		build: func(b *Builder, machines int) *Builder {
 			return b.WithToRLinks(DefaultToRLink.Hop, DefaultToRLink.GBps).
 				WithSpine(DefaultSpineLink.Hop, DefaultSpineLink.GBps)
 		},
 	},
+	// four racks in a leaf-spine fabric with an oversubscribed spine.
 	"spine-leaf": {
-		racks:    4,
-		describe: "four racks in a leaf-spine fabric with an oversubscribed spine",
+		racks: 4,
 		build: func(b *Builder, machines int) *Builder {
 			return b.WithToRLinks(DefaultToRLink.Hop, DefaultToRLink.GBps).
 				WithSpine(DefaultSpineLink.Hop, DefaultSpineLink.GBps)
 		},
 	},
+	// spine-leaf with mixed fabrics: in-process intra-rack, real loopback TCP cross-rack.
 	"spine-leaf-tcp": {
-		racks:    4,
-		describe: "spine-leaf with mixed fabrics: in-process intra-rack, real loopback TCP cross-rack",
+		racks: 4,
 		build: func(b *Builder, machines int) *Builder {
 			return b.WithToRLinks(DefaultToRLink.Hop, DefaultToRLink.GBps).
 				WithSpine(DefaultSpineLink.Hop, DefaultSpineLink.GBps).
 				WithCrossRackTCP()
 		},
 	},
+	// two racks with the last machine a 3× straggler.
 	"straggler": {
-		racks:    2,
-		describe: "two racks with the last machine a 3× straggler",
+		racks: 2,
 		build: func(b *Builder, machines int) *Builder {
 			return b.WithToRLinks(DefaultToRLink.Hop, DefaultToRLink.GBps).
 				WithSpine(DefaultSpineLink.Hop, DefaultSpineLink.GBps).
@@ -59,8 +58,8 @@ var recipes = map[string]recipe{
 	},
 }
 
-// Recipes lists recipe names in sorted order with one-line descriptions,
-// for CLI -topology help text.
+// Recipes lists recipe names in sorted order, for the CLI's
+// unknown-recipe error.
 func Recipes() []string {
 	names := make([]string, 0, len(recipes))
 	for n := range recipes {
@@ -68,15 +67,6 @@ func Recipes() []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// RecipeHelp returns one "name — description" line per recipe.
-func RecipeHelp() string {
-	var b strings.Builder
-	for _, n := range Recipes() {
-		fmt.Fprintf(&b, "  %-15s %s\n", n, recipes[n].describe)
-	}
-	return b.String()
 }
 
 // Recipe returns a fresh builder for a named recipe sized to machines

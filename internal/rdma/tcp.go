@@ -17,7 +17,7 @@ import (
 // TCPFabric moves the same bytes as SimFabric over real TCP sockets. It
 // exists to demonstrate that the RMMAP protocol state machine (register →
 // fetch page table → fault → read remote frame) runs unmodified across a
-// real network boundary; cmd/rmmap-net uses it. Virtual-time charges are
+// real network boundary; rmmap net uses it. Virtual-time charges are
 // applied identically so meters remain meaningful.
 //
 // Wire protocol (all little-endian, each message length-prefixed u32):
