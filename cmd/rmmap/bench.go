@@ -7,15 +7,21 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"slices"
+	"strings"
 
 	"rmmap/internal/bench"
 )
+
+// jsonDefault is what bench -json runs when no experiment is named: the
+// Fig 14 grid with its failover and topology-cliff sections.
+var jsonDefault = []string{"fig14", "abl-failover", "abl-topology"}
 
 func runBench(args []string, stdout, stderr io.Writer) int {
 	fs := newFlagSet("bench", stderr)
 	scale := fs.Float64("scale", 1.0, "payload scale factor in (0,1]")
 	list := fs.Bool("list", false, "list experiments and exit")
-	jsonOut := fs.Bool("json", false, "write the Fig 14 grid to BENCH_fig14.json")
+	jsonOut := fs.Bool("json", false, "also write the tables of the experiments run to BENCH_fig14.json; "+
+		"with no experiment IDs, runs "+strings.Join(jsonDefault, " "))
 	cf := newClusterFlags(fs,
 		use{"workers", 0, "engine worker-pool size (0 = all cores, 1 = sequential); results are identical, only wall time changes"},
 		use{"ctrl-shards", 0, "consistent-hash coordinator shards (0/1 = single coordinator); results are identical at any setting"},
@@ -29,12 +35,11 @@ func runBench(args []string, stdout, stderr io.Writer) int {
 	}
 	bench.Workers = cf.workers
 	bench.CtrlShards = cf.ctrlShards
-	if cf.topology != "" {
-		// Validate eagerly so a typo fails before any experiment runs.
-		if _, err := cf.builder(); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
+	// Resolve eagerly so a typo fails before any experiment runs.
+	shape, err := cf.builder()
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
 	bench.Topology = cf.topology
 
@@ -71,35 +76,35 @@ func runBench(args []string, stdout, stderr io.Writer) int {
 	}
 
 	ids := fs.Args()
-	if *jsonOut {
-		if err := writeFile("BENCH_fig14.json", func(w io.Writer) error {
-			return bench.WriteFig14JSON(w, *scale)
-		}); err != nil {
-			fmt.Fprintf(stderr, "fig14 json: %v\n", err)
-			return 1
-		}
-		fmt.Fprintln(stdout, "wrote BENCH_fig14.json")
-		if len(ids) == 0 {
-			return 0
-		}
+	if *jsonOut && len(ids) == 0 {
+		ids = jsonDefault
 	}
-	ran := 0
+	report := bench.Report{Scale: *scale, Topology: shape.Name()}
 	for _, e := range bench.All() {
 		if len(ids) > 0 && !slices.Contains(ids, e.ID) {
 			continue
 		}
-		ran++
 		fmt.Fprintf(stdout, "=== %s — %s ===\n", e.ID, e.Title)
 		fmt.Fprintf(stdout, "expected shape: %s\n\n", e.Expect)
-		if err := e.Run(stdout, *scale); err != nil {
+		res, err := e.Run(*scale)
+		if err != nil {
 			fmt.Fprintf(stderr, "%s failed: %v\n", e.ID, err)
 			return 1
 		}
+		res.Print(stdout)
 		fmt.Fprintln(stdout)
+		report.Experiments = append(report.Experiments, bench.ReportRun{ID: e.ID, Tables: res})
 	}
-	if ran == 0 {
+	if len(report.Experiments) == 0 {
 		fmt.Fprintf(stderr, "no experiment matched %v; known: %v\n", ids, bench.IDs())
 		return 1
+	}
+	if *jsonOut {
+		if err := writeFile("BENCH_fig14.json", report.WriteJSON); err != nil {
+			fmt.Fprintf(stderr, "bench json: %v\n", err)
+			return 1
+		}
+		fmt.Fprintln(stdout, "wrote BENCH_fig14.json")
 	}
 	return 0
 }

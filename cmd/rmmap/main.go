@@ -13,11 +13,12 @@
 //
 // bench regenerates the paper's figures (§5, §2.3) and the design
 // ablations (abl-*), all of them when no ID is given. -scale shrinks
-// payloads; 1.0 is the calibration EXPERIMENTS.md documents. -json writes
-// the Fig 14 grid with its failover and topology-cliff sections to
-// BENCH_fig14.json. -topology runs the Fig-14 grid and the fan-out
-// ablation on a platformbuilder recipe or topology JSON file
-// (PLATFORMS.md). Host cost is the perf ledger's job (benchmark/).
+// payloads; 1.0 is the calibration EXPERIMENTS.md documents. -json also
+// writes the tables it prints to BENCH_fig14.json; with no ID it runs
+// fig14 with its failover and topology-cliff ablations. -topology runs
+// the Fig-14 grid and the fan-out ablation on a platformbuilder recipe or
+// topology JSON file (PLATFORMS.md). Host cost is the perf ledger's job
+// (benchmark/).
 //
 //	rmmap chaos [-workflow finra] [-small] [-seed 20260805] [-prob 0.1]
 //	            [-crash-machine 1 -crash-at 100us] [-plan plan.json]

@@ -2,9 +2,14 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
+	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+
+	"rmmap/internal/simtime"
 )
 
 // TestSubcommands runs every subcommand through the dispatcher at smoke
@@ -50,5 +55,97 @@ func TestSubcommands(t *testing.T) {
 		if !strings.HasPrefix(first, tc.first) {
 			t.Errorf("rmmap %s: first line %q, want prefix %q", strings.Join(tc.args, " "), first, tc.first)
 		}
+	}
+}
+
+// TestBenchTopologyJSON pins -topology and -json on the fig14 grid:
+// -topology flat prints exactly what no flag prints, spine-leaf moves at
+// least one rmmap row, and a -json run with no IDs prints its three
+// default experiments and writes exactly those, each fig14 latency equal
+// to the printed one.
+func TestBenchTopologyJSON(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the fig14 grid three times")
+	}
+	bench := func(args ...string) string {
+		t.Helper()
+		var stdout, stderr bytes.Buffer
+		args = append([]string{"bench", "-scale", "0.02"}, args...)
+		if code := run(args, &stdout, &stderr); code != 0 {
+			t.Fatalf("rmmap %s: exit %d\nstderr:\n%s", strings.Join(args, " "), code, stderr.String())
+		}
+		return stdout.String()
+	}
+	flat := bench("fig14")
+	if got := bench("-topology", "flat", "fig14"); got != flat {
+		t.Errorf("-topology flat output differs from the default\n--- default:\n%s\n--- flat:\n%s", flat, got)
+	}
+
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir(t.TempDir()); err != nil {
+		t.Fatal(err)
+	}
+	defer os.Chdir(wd)
+	out := bench("-topology", "spine-leaf", "-json")
+	if !strings.HasSuffix(out, "\nwrote BENCH_fig14.json\n") {
+		t.Errorf("-json output does not end with the wrote line:\n%s", out)
+	}
+	raw, err := os.ReadFile("BENCH_fig14.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep struct {
+		Topology    string
+		Experiments []struct {
+			ID     string
+			Tables []struct{ Rows [][]any }
+		}
+	}
+	if err := json.Unmarshal(raw, &rep); err != nil {
+		t.Fatal(err)
+	}
+	var ids []string
+	for _, ex := range rep.Experiments {
+		ids = append(ids, ex.ID)
+		if !strings.Contains(out, "=== "+ex.ID+" — ") {
+			t.Errorf("BENCH_fig14.json holds %s, which stdout does not print", ex.ID)
+		}
+	}
+	if want := []string{"abl-failover", "abl-topology", "fig14"}; !slices.Equal(ids, want) || rep.Topology != "spine-leaf" {
+		t.Fatalf("BENCH_fig14.json: topology %q experiments %v, want spine-leaf %v", rep.Topology, ids, want)
+	}
+
+	// fig14Latencies maps workflow/approach to the latency fig14's stdout
+	// table prints.
+	fig14Latencies := func(out string) map[string]string {
+		_, section, _ := strings.Cut(out, "=== fig14 ")
+		lat := map[string]string{}
+		// Skip the title, expected-shape, blank and header lines.
+		for _, line := range strings.Split(section, "\n")[4:] {
+			if line == "" {
+				break
+			}
+			f := strings.Fields(line)
+			lat[f[0]+"/"+f[1]] = f[2]
+		}
+		return lat
+	}
+	flatLat, spineLat := fig14Latencies(flat), fig14Latencies(out)
+	moved := false
+	for _, row := range rep.Experiments[2].Tables[0].Rows {
+		key := row[0].(string) + "/" + row[1].(string)
+		want := simtime.Duration(row[2].(float64)).String()
+		if spineLat[key] != want {
+			t.Errorf("%s: stdout latency %q, JSON latency %s", key, spineLat[key], want)
+		}
+		if strings.HasPrefix(row[1].(string), "rmmap") && spineLat[key] != flatLat[key] {
+			moved = true
+		}
+	}
+	if !moved {
+		t.Error("-topology spine-leaf left every rmmap latency of fig14 at its flat value")
 	}
 }

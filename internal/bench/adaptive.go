@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"io"
-
 	"rmmap/internal/memsim"
 	"rmmap/internal/objrt"
 	"rmmap/internal/simtime"
@@ -21,7 +19,7 @@ func init() {
 
 // runAblAdaptive compares prefetch policies per data type on the micro
 // rig: always traverse, never prefetch, adaptive sampling.
-func runAblAdaptive(w io.Writer, scale float64) error {
+func runAblAdaptive(scale float64) (Result, error) {
 	cm := simtime.DefaultCostModel()
 	types := []struct {
 		name  string
@@ -40,16 +38,16 @@ func runAblAdaptive(w io.Writer, scale float64) error {
 		}},
 	}
 
-	t := newTable(w, "type", "policy", "decision", "T", "N", "E2E")
+	t := &Table{Header: []string{"type", "policy", "decision", "T", "N", "E2E"}}
 	for _, typ := range types {
 		for _, policy := range []string{"always", "never", "adaptive"} {
 			rig, err := newMicroRig(cm)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			root, err := typ.build(rig.ProdRT)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			prodMeter, consMeter := simtime.NewMeter(), simtime.NewMeter()
 			rig.prodAS.SetMeter(prodMeter)
@@ -58,7 +56,7 @@ func runAblAdaptive(w io.Writer, scale float64) error {
 			end := (rig.ProdRT.Heap().Used() + memsim.PageSize) &^ uint64(memsim.PageSize-1)
 			meta, err := rig.prodK.RegisterMem(rig.prodAS, 1, 1, start, end)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			decision := "demand-page"
 			var pages []memsim.VPN
@@ -66,14 +64,14 @@ func runAblAdaptive(w io.Writer, scale float64) error {
 			case "always":
 				plan, err := objrt.PlanPrefetch(root, 0, prodMeter)
 				if err != nil {
-					return err
+					return nil, err
 				}
 				pages = plan.Pages
 				decision = "prefetch"
 			case "adaptive":
 				plan, worth, err := objrt.PlanPrefetchAdaptive(root, prodMeter)
 				if err != nil {
-					return err
+					return nil, err
 				}
 				if worth {
 					pages = plan.Pages
@@ -82,21 +80,20 @@ func runAblAdaptive(w io.Writer, scale float64) error {
 			}
 			mp, err := rig.consK.Rmap(rig.consAS, meta.Machine, meta.ID, meta.Key, meta.Start, meta.End)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			if len(pages) > 0 {
 				if err := mp.Prefetch(pages); err != nil {
-					return err
+					return nil, err
 				}
 			}
 			if err := checksum(root.View(rig.ConsRT)); err != nil {
-				return err
+				return nil, err
 			}
 			T := prodMeter.Get(simtime.CatRegister)
 			N := consMeter.Get(simtime.CatMap) + consMeter.Get(simtime.CatFault)
-			t.row(typ.name, policy, decision, T, N, T+N)
+			t.add(typ.name, policy, decision, T, N, T+N)
 		}
 	}
-	t.flush()
-	return nil
+	return Result{t}, nil
 }

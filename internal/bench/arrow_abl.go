@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"io"
-
 	"rmmap/internal/arrow"
 	"rmmap/internal/simtime"
 	"rmmap/internal/workloads"
@@ -21,10 +19,10 @@ func init() {
 
 // runAblArrow transfers a trades dataframe over the same storage(rdma)
 // channel with three object-exchange mechanisms.
-func runAblArrow(w io.Writer, scale float64) error {
+func runAblArrow(scale float64) (Result, error) {
 	cm := simtime.DefaultCostModel()
 	rows := scaleInt(16000, scale)
-	t := newTable(w, "mechanism", "T(transform)", "N(channel)", "R(reconstruct)", "E2E", "wire")
+	t := &Table{Header: []string{"mechanism", "T(transform)", "N(channel)", "R(reconstruct)", "E2E", "wire"}}
 
 	// Pickle over storage(rdma) and rmap via the shared micro rig. Both
 	// rmap variants appear: this string-heavy frame is exactly where the
@@ -32,63 +30,62 @@ func runAblArrow(w io.Writer, scale float64) error {
 	for _, ap := range []approach{apDrTM, apRMMAP, apRMMAPPrefetch} {
 		rig, err := newMicroRig(cm)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		df, err := workloads.GenTrades(rig.ProdRT, rows, 1)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		x, err := rig.transfer(df, ap)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		name := ap.String()
 		if ap == apDrTM {
 			name = "pickle + storage(rdma)"
 		}
-		t.row(name, x.T, x.N, x.R, x.E2E(), x.Wire)
+		t.add(name, x.T, x.N, x.R, x.E2E(), x.Wire)
 	}
 
 	// Arrow over the same storage(rdma) channel.
 	rig, err := newMicroRig(cm)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	df, err := workloads.GenTrades(rig.ProdRT, rows, 1)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	prodMeter := simtime.NewMeter()
 	batch, _, err := arrow.Encode(df, prodMeter)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	wire := batch.Wire(prodMeter, cm)
 	netMeter := simtime.NewMeter()
 	if err := rig.drtm.Put(netMeter, "k", wire); err != nil {
-		return err
+		return nil, err
 	}
 	data, err := rig.drtm.Get(netMeter, "k")
 	if err != nil {
-		return err
+		return nil, err
 	}
 	consMeter := simtime.NewMeter()
 	back, err := arrow.FromWire(data)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	// Touch every column (zero-copy reads, no reconstruction charge).
 	for i := range back.Cols {
 		if back.Cols[i].Kind == arrow.KindString {
 			if _, err := back.Cols[i].Str(0); err != nil {
-				return err
+				return nil, err
 			}
 		}
 	}
 	T := prodMeter.Get(simtime.CatSerialize)
 	N := netMeter.Total()
 	R := consMeter.Total()
-	t.row("arrow + storage(rdma)", T, N, R, T+N+R, len(wire))
-	t.flush()
-	return nil
+	t.add("arrow + storage(rdma)", T, N, R, T+N+R, len(wire))
+	return Result{t}, nil
 }

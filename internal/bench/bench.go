@@ -1,10 +1,7 @@
 package bench
 
 import (
-	"fmt"
-	"io"
 	"sort"
-	"text/tabwriter"
 
 	"rmmap/internal/platform"
 	"rmmap/internal/simtime"
@@ -18,10 +15,10 @@ type Experiment struct {
 	Title string
 	// Expect is the acceptance shape from the paper.
 	Expect string
-	// Run executes the experiment, writing its table to w. scale in
+	// Run executes the experiment and returns its tables. scale in
 	// (0, 1] shrinks payload sizes for quick runs; 1 is the calibrated
 	// default documented in EXPERIMENTS.md.
-	Run func(w io.Writer, scale float64) error
+	Run func(scale float64) (Result, error)
 }
 
 // Workers is the engine worker-pool size every experiment runs with
@@ -73,38 +70,6 @@ func IDs() []string {
 	return ids
 }
 
-// table is a small helper around tabwriter.
-type table struct {
-	tw *tabwriter.Writer
-}
-
-func newTable(w io.Writer, header ...string) *table {
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	t := &table{tw: tw}
-	t.row(toAny(header)...)
-	return t
-}
-
-func toAny(ss []string) []any {
-	out := make([]any, len(ss))
-	for i, s := range ss {
-		out[i] = s
-	}
-	return out
-}
-
-func (t *table) row(cells ...any) {
-	for i, c := range cells {
-		if i > 0 {
-			fmt.Fprint(t.tw, "\t")
-		}
-		fmt.Fprint(t.tw, c)
-	}
-	fmt.Fprintln(t.tw)
-}
-
-func (t *table) flush() { t.tw.Flush() }
-
 // scaleInt shrinks a calibrated size, keeping a floor of 1.
 func scaleInt(n int, scale float64) int {
 	if scale <= 0 || scale >= 1 {
@@ -115,22 +80,6 @@ func scaleInt(n int, scale float64) int {
 		s = 1
 	}
 	return s
-}
-
-// pct formats a ratio as a percentage.
-func pct(part, whole float64) string {
-	if whole == 0 {
-		return "n/a"
-	}
-	return fmt.Sprintf("%.1f%%", 100*part/whole)
-}
-
-// speedup formats base/new as a multiplier.
-func speedup(base, new float64) string {
-	if new == 0 {
-		return "inf"
-	}
-	return fmt.Sprintf("%.2fx", base/new)
 }
 
 // computeCat is a shorthand for the compute category.

@@ -2,8 +2,14 @@ package bench
 
 import (
 	"bytes"
-	"strings"
+	"encoding/json"
+	"fmt"
+	"math"
+	"slices"
+	"strconv"
 	"testing"
+
+	"rmmap/internal/simtime"
 )
 
 func TestRegistryComplete(t *testing.T) {
@@ -40,27 +46,148 @@ func TestFindUnknown(t *testing.T) {
 	}
 }
 
+// tinyScale is the scale TestExperimentsRunTiny runs every experiment at.
+const tinyScale = 0.02
+
+// tinyResults memoizes each experiment's Result at tinyScale, so tests that
+// need an experiment's values read them instead of running it again.
+var tinyResults = map[string]Result{}
+
+// tiny returns experiment id's Result at tinyScale, running the experiment
+// only if no earlier test has.
+func tiny(t *testing.T, id string) Result {
+	t.Helper()
+	if res, ok := tinyResults[id]; ok {
+		return res
+	}
+	e, ok := Find(id)
+	if !ok {
+		t.Fatalf("experiment %q not registered", id)
+	}
+	res, err := e.Run(tinyScale)
+	if err != nil {
+		t.Fatalf("%s: %v", id, err)
+	}
+	tinyResults[id] = res
+	return res
+}
+
 // TestExperimentsRunTiny executes each experiment at a tiny scale and
-// checks it produces a non-empty table without error. fig12 is covered at
-// a slightly larger granularity in the benchmarks (it needs enough
-// requests to be meaningful) and is skipped under -short.
+// checks it returns tables with rows, without error. fig12 is covered at a
+// slightly larger granularity in the benchmarks (it needs enough requests
+// to be meaningful) and is skipped under -short.
 func TestExperimentsRunTiny(t *testing.T) {
 	for _, e := range All() {
-		e := e
 		t.Run(e.ID, func(t *testing.T) {
 			if e.ID == "fig12" && testing.Short() {
 				t.Skip("fig12 runs thousands of requests; skipped under -short")
 			}
-			var buf bytes.Buffer
-			if err := e.Run(&buf, 0.02); err != nil {
-				t.Fatalf("%s: %v", e.ID, err)
+			res := tiny(t, e.ID)
+			if len(res) == 0 {
+				t.Fatalf("%s returned no tables", e.ID)
 			}
-			out := buf.String()
-			if strings.Count(out, "\n") < 2 {
-				t.Errorf("%s produced almost no output:\n%s", e.ID, out)
+			for _, tbl := range res {
+				if len(tbl.Rows) == 0 {
+					t.Errorf("%s: table %q has no rows", e.ID, tbl.Header)
+				}
 			}
 		})
 	}
+}
+
+// TestReportJSON encodes every experiment's tiny-scale Result into one
+// Report and decodes it back: the experiment IDs come back in run order,
+// every row has one cell per header column, every cell is one of the
+// declared kinds, and Durations are integer nanoseconds.
+func TestReportJSON(t *testing.T) {
+	rep := Report{Scale: tinyScale, Topology: "flat"}
+	var ids []string
+	for _, e := range All() {
+		if e.ID == "fig12" && testing.Short() {
+			continue
+		}
+		ids = append(ids, e.ID)
+		rep.Experiments = append(rep.Experiments, ReportRun{ID: e.ID, Tables: tiny(t, e.ID)})
+	}
+	var buf bytes.Buffer
+	if err := rep.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var back struct {
+		Experiments []struct {
+			ID     string
+			Tables []struct {
+				Header []string
+				Rows   [][]json.RawMessage
+			}
+		}
+	}
+	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for i, ex := range back.Experiments {
+		got = append(got, ex.ID)
+		if i >= len(rep.Experiments) || len(ex.Tables) != len(rep.Experiments[i].Tables) {
+			t.Fatalf("%s: tables did not round-trip", ex.ID)
+		}
+		for j, tbl := range ex.Tables {
+			orig := rep.Experiments[i].Tables[j]
+			for r, row := range tbl.Rows {
+				if len(row) != len(tbl.Header) {
+					t.Errorf("%s: row %d has %d cells for %d columns", ex.ID, r, len(row), len(tbl.Header))
+					continue
+				}
+				for c, raw := range row {
+					if msg := cellJSONMismatch(orig.Rows[r][c], string(raw)); msg != "" {
+						t.Errorf("%s: row %d column %q: %s", ex.ID, r, tbl.Header[c], msg)
+					}
+				}
+			}
+		}
+	}
+	if !slices.Equal(got, ids) {
+		t.Errorf("report experiments = %v, want %v", got, ids)
+	}
+}
+
+// cellJSONMismatch says how raw is not the encoding of cell, or "".
+func cellJSONMismatch(cell any, raw string) string {
+	var want string
+	switch v := cell.(type) {
+	case simtime.Duration:
+		want = strconv.FormatInt(int64(v), 10)
+	case int, int64:
+		want = fmt.Sprint(v)
+	case string:
+		b, _ := json.Marshal(v)
+		want = string(b)
+	case Percent:
+		return ratioJSONMismatch(float64(v), raw)
+	case Multiplier:
+		return ratioJSONMismatch(float64(v), raw)
+	default:
+		return fmt.Sprintf("cell %v has type %T, not a Result cell kind", cell, cell)
+	}
+	if raw != want {
+		return fmt.Sprintf("%v encodes as %s, want %s", cell, raw, want)
+	}
+	return ""
+}
+
+// ratioJSONMismatch checks a Percent or Multiplier's encoding: a number,
+// or null when it is not finite.
+func ratioJSONMismatch(f float64, raw string) string {
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		if raw != "null" {
+			return fmt.Sprintf("non-finite %v encodes as %s, want null", f, raw)
+		}
+		return ""
+	}
+	if got, err := strconv.ParseFloat(raw, 64); err != nil || got != f {
+		return fmt.Sprintf("%v encodes as %s", f, raw)
+	}
+	return ""
 }
 
 func TestMicroRigTransferMatchesApproaches(t *testing.T) {

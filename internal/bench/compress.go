@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"io"
-
 	"rmmap/internal/platform"
 	"rmmap/internal/simtime"
 	"rmmap/internal/workloads"
@@ -19,26 +17,25 @@ func init() {
 	})
 }
 
-func runAblCompress(w io.Writer, scale float64) error {
+func runAblCompress(scale float64) (Result, error) {
 	cfg := workloads.DefaultWordCount()
 	cfg.BookBytes = scaleInt(cfg.BookBytes, scale)
-	t := newTable(w, "variant", "latency", "ser+des (incl. codec)", "network")
+	t := &Table{Header: []string{"variant", "latency", "ser+des (incl. codec)", "network"}}
 	for _, compress := range []bool{false, true} {
 		e, err := platform.NewEngine(workloads.WordCount(cfg), platform.ModeMessaging,
 			platform.Options{Compress: compress}, benchCluster())
 		if err != nil {
-			return err
+			return nil, err
 		}
 		res, err := e.Run()
 		if err != nil {
-			return err
+			return nil, err
 		}
 		name := "plain cloudevents"
 		if compress {
 			name = "deflate + cloudevents"
 		}
-		t.row(name, res.Latency, res.Meter.SerTotal(), res.Meter.Get(simtime.CatNetwork))
+		t.add(name, res.Latency, res.Meter.SerTotal(), res.Meter.Get(simtime.CatNetwork))
 	}
-	t.flush()
-	return nil
+	return Result{t}, nil
 }

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"io"
 
 	"rmmap/internal/ctrl"
 	"rmmap/internal/simtime"
@@ -137,22 +136,23 @@ func init() {
 		Title: "Sharded control plane: compaction work and busiest-shard storage time vs. shard count",
 		Expect: "each shard journals only its keys and compacts only live/N entries: total storage " +
 			"time stays flat while the 16-shard plane's busiest shard spends <= 1/3 of the single shard's",
-		Run: func(w io.Writer, scale float64) error {
+		Run: func(scale float64) (Result, error) {
 			rows, err := collectCtrl([]int{1, 4, 16}, scale)
 			if err != nil {
-				return err
+				return nil, err
 			}
-			fmt.Fprintf(w, "live registrations: %d, churn pairs: %d, plans: %d\n\n",
-				scaleInt(ctrlLive, scale), scaleInt(ctrlChurn, scale), scaleInt(ctrlPlans, scale))
-			t := newTable(w, "shards", "snapshots", "snapshot bytes", "journal bytes", "busiest-shard storage")
+			t := &Table{
+				Caption: []string{fmt.Sprintf("live registrations: %d, churn pairs: %d, plans: %d",
+					scaleInt(ctrlLive, scale), scaleInt(ctrlChurn, scale), scaleInt(ctrlPlans, scale)), ""},
+				Header: []string{"shards", "snapshots", "snapshot bytes", "journal bytes", "busiest-shard storage"},
+			}
 			for _, r := range rows {
-				t.row(r.Shards, r.Snapshots, r.SnapshotBytes, r.JournalBytes, r.BusiestStorage)
+				t.add(r.Shards, r.Snapshots, r.SnapshotBytes, r.JournalBytes, r.BusiestStorage)
 			}
-			t.flush()
 			first, last := rows[0], rows[len(rows)-1]
-			fmt.Fprintf(w, "\nbusiest shard, %d vs %d shards: %s\n", first.Shards, last.Shards,
-				speedup(float64(first.BusiestStorage), float64(last.BusiestStorage)))
-			return nil
+			t.Note = []string{"", fmt.Sprintf("busiest shard, %d vs %d shards: %s", first.Shards, last.Shards,
+				speedup(float64(first.BusiestStorage), float64(last.BusiestStorage)))}
+			return Result{t}, nil
 		},
 	})
 }

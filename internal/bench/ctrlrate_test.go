@@ -1,17 +1,13 @@
 package bench
 
 import (
-	"io"
 	"testing"
 )
 
 func TestCtrlRateExperimentRegistered(t *testing.T) {
-	e, ok := Find("abl-ctrl")
-	if !ok {
-		t.Fatal("abl-ctrl experiment not registered")
-	}
-	if err := e.Run(io.Discard, 0.02); err != nil {
-		t.Fatal(err)
+	tbl := tiny(t, "abl-ctrl")[0]
+	if len(tbl.Rows) != 3 || tbl.Cell(2, "shards") != 16 {
+		t.Fatalf("abl-ctrl rows = %v, want shard counts 1, 4, 16", tbl.Rows)
 	}
 }
 

@@ -18,7 +18,7 @@ import (
 
 // Differential determinism suite: the parallel engine's acceptance
 // criterion is that every run artifact — exported spans, metrics
-// snapshots, BENCH_fig14.json rows — is byte-identical at any worker
+// snapshots, fig14 rows — is byte-identical at any worker
 // count. These tests run each scenario at Workers ∈ {1, 4, 8} (1 being the
 // sequential behavioral reference) and compare the serialized artifacts
 // byte for byte. CI runs them under -race -count=2, so scheduling
@@ -31,7 +31,7 @@ var diffWorkers = []int{1, 4, 8}
 type runArtifacts struct {
 	spans   []byte // canonical span JSONL (sorted, one span per line)
 	metrics []byte // obs registry snapshot JSON
-	row     []byte // the run's BENCH_fig14.json row
+	row     []byte // the run's fig14 row (or a scenario summary)
 }
 
 // spanJSONL serializes a trace in canonical order, one JSON span per line.
@@ -47,36 +47,21 @@ func spanJSONL(t *testing.T, trace []platform.Span) []byte {
 	return buf.Bytes()
 }
 
-// fig14RowBytes builds the same row CollectFig14 would emit for this run.
+// fig14RowBytes serializes the cells runFig14 prints for this run (the
+// vs-best-baseline ratio aside, which needs the whole workflow's grid).
 func fig14RowBytes(t *testing.T, name string, mode platform.Mode, e *platform.Engine, res platform.RunResult) []byte {
 	t.Helper()
-	reads, batches, _, bytesRead := e.Cluster.Fabric.Stats()
-	breakdown := make(map[string]int64)
-	res.Meter.Each(func(c simtime.Category, d simtime.Duration) {
-		breakdown[c.String()] = int64(d)
-	})
-	row := Fig14Row{
-		Workflow:            name,
-		Mode:                mode.String(),
-		Topology:            "flat",
-		LatencyNs:           int64(res.Latency),
-		FabricOneSidedReads: reads,
-		FabricBatches:       batches,
-		FabricBatchPages:    e.Cluster.Fabric.BatchPages(),
-		FabricBytesRead:     bytesRead,
-		CacheHits:           res.Cache.Hits,
-		CacheMisses:         res.Cache.Misses,
-		CacheHitRate:        res.Cache.HitRate(),
-		ReadaheadPages:      res.Cache.ReadaheadPages,
-		BreakdownNs:         breakdown,
-	}
-	b, err := json.Marshal(row)
+	b, err := json.Marshal(append([]any{name, mode.String(), res.Latency}, fig14Counters(e.Cluster, res)...))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return b
 }
 
+// runFig14Cell runs one fig14 cell with tracing and metrics on. It also
+// checks the cell's per-category virtual-time breakdown: every category
+// is positive and their sum is at least the critical-path latency
+// (parallelism makes total work larger, never smaller).
 func runFig14Cell(t *testing.T, builder WorkflowBuilder, mode platform.Mode, workers int) runArtifacts {
 	t.Helper()
 	reg := obs.NewRegistry()
@@ -88,6 +73,16 @@ func runFig14Cell(t *testing.T, builder WorkflowBuilder, mode platform.Mode, wor
 	res, err := e.Run()
 	if err != nil {
 		t.Fatal(err)
+	}
+	var total simtime.Duration
+	res.Meter.Each(func(c simtime.Category, d simtime.Duration) {
+		if d <= 0 {
+			t.Errorf("%s/%v: category %s has non-positive total %d", builder.Name, mode, c, d)
+		}
+		total += d
+	})
+	if total == 0 || total < res.Latency {
+		t.Errorf("%s/%v: breakdown total %v < latency %v", builder.Name, mode, total, res.Latency)
 	}
 	var metrics bytes.Buffer
 	if err := reg.Snapshot().WriteJSON(&metrics); err != nil {

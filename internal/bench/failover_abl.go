@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"io"
 
 	"rmmap/internal/faults"
 	"rmmap/internal/memsim"
@@ -13,22 +12,6 @@ import (
 // ablFailoverSeed keeps the failover ablation's fault schedules
 // reproducible independent of the experiment ordering.
 const ablFailoverSeed = 20260805
-
-// FailoverRow is one (workflow, recovery arm) cell of the failover
-// ablation: how long the run took, which ladder rungs carried it, and the
-// fabric/replication bytes behind the recovery.
-type FailoverRow struct {
-	Workflow        string `json:"workflow"`
-	Arm             string `json:"arm"`
-	LatencyNs       int64  `json:"latency_ns"`
-	CleanLatencyNs  int64  `json:"clean_latency_ns"`
-	Failovers       int    `json:"failovers"`
-	Reexecs         int    `json:"reexecs"`
-	Fallbacks       int    `json:"fallbacks"`
-	FabricBytesRead int64  `json:"fabric_bytes_read"`
-	ReplicatedBytes int64  `json:"replicated_bytes"`
-	Error           string `json:"error,omitempty"`
-}
 
 // runFailoverArm executes one recovery arm on a fresh chaos cluster.
 func runFailoverArm(build func() *platform.Workflow, plan faults.Plan, opts platform.Options) (platform.RunResult, int64, error) {
@@ -47,22 +30,23 @@ func runFailoverArm(build func() *platform.Workflow, plan faults.Plan, opts plat
 	return res, bytesRead, err
 }
 
-// CollectFailover runs the failover ablation for every Fig 14 workflow:
+// runAblFailover runs the failover ablation for every Fig 14 workflow:
 // the same producer-machine crash recovered by replica failover vs. by
 // producer re-execution, plus a persistent-fault arm that degrades the
-// poisoned edges to messaging. Per-workflow failures are recorded in the
-// row, not fatal — small -scale runs can starve individual arms.
-func CollectFailover(scale float64) []FailoverRow {
-	var rows []FailoverRow
-	for _, wfb := range wfBuilders(scale) {
-		rows = append(rows, collectFailoverWorkflow(wfb.Name, wfb.Build)...)
+// poisoned edges to messaging. Per-workflow failures land in the error
+// column, not fatal — small -scale runs can starve individual arms.
+func runAblFailover(scale float64) (Result, error) {
+	t := &Table{Header: []string{"workflow", "arm", "latency", "clean", "failovers", "reexecs", "fallbacks", "fabric-bytes", "replicated", "error"}}
+	for _, wfb := range Workflows(scale) {
+		failoverRows(t, wfb.Name, wfb.Build)
 	}
-	return rows
+	return Result{t}, nil
 }
 
-func collectFailoverWorkflow(name string, build func() *platform.Workflow) []FailoverRow {
-	fail := func(arm string, err error) []FailoverRow {
-		return []FailoverRow{{Workflow: name, Arm: arm, Error: err.Error()}}
+// failoverRows adds one workflow's arms to t.
+func failoverRows(t *Table, name string, build func() *platform.Workflow) {
+	fail := func(arm string, err error) {
+		t.add(name, arm, simtime.Duration(0), simtime.Duration(0), 0, 0, 0, int64(0), int64(0), err.Error())
 	}
 	// Clean reference run (replication on, no faults) pins down the
 	// machine hosting the workflow's first producer and when it finishes.
@@ -71,7 +55,8 @@ func collectFailoverWorkflow(name string, build func() *platform.Workflow) []Fai
 	cleanOpts := platform.Options{Trace: true, Recovery: rec, Replicas: 1}
 	clean, _, err := runFailoverArm(build, faults.Plan{Seed: ablFailoverSeed}, cleanOpts)
 	if err != nil {
-		return fail("clean", err)
+		fail("clean", err)
+		return
 	}
 	// The earliest-finishing span is a first-wave producer; crash its
 	// machine late in its span, when replication has had the whole span to
@@ -83,7 +68,8 @@ func collectFailoverWorkflow(name string, build func() *platform.Workflow) []Fai
 		}
 	}
 	if prod == nil {
-		return fail("clean", fmt.Errorf("no spans traced"))
+		fail("clean", fmt.Errorf("no spans traced"))
+		return
 	}
 	crashAt := prod.Start.Add(prod.Duration() * 9 / 10)
 	crash := faults.Plan{
@@ -112,37 +98,15 @@ func collectFailoverWorkflow(name string, build func() *platform.Workflow) []Fai
 			},
 		}},
 	}
-	rows := make([]FailoverRow, 0, len(arms))
 	for _, arm := range arms {
 		res, bytesRead, err := runFailoverArm(build, arm.plan, arm.opts)
-		row := FailoverRow{
-			Workflow:        name,
-			Arm:             arm.name,
-			LatencyNs:       int64(res.Latency),
-			CleanLatencyNs:  int64(clean.Latency),
-			Failovers:       res.Failovers,
-			Reexecs:         res.Reexecs,
-			Fallbacks:       res.Fallbacks,
-			FabricBytesRead: bytesRead,
-			ReplicatedBytes: res.ReplicatedBytes,
-		}
+		errText := ""
 		if err != nil {
-			row.Error = err.Error()
+			errText = err.Error()
 		}
-		rows = append(rows, row)
+		t.add(name, arm.name, res.Latency, clean.Latency, res.Failovers, res.Reexecs, res.Fallbacks,
+			bytesRead, res.ReplicatedBytes, errText)
 	}
-	return rows
-}
-
-// runAblFailover renders the failover ablation as a table.
-func runAblFailover(w io.Writer, scale float64) error {
-	t := newTable(w, "workflow", "arm", "latency", "clean", "failovers", "reexecs", "fallbacks", "fabric-bytes", "replicated", "error")
-	for _, r := range CollectFailover(scale) {
-		t.row(r.Workflow, r.Arm, simtime.Duration(r.LatencyNs), simtime.Duration(r.CleanLatencyNs),
-			r.Failovers, r.Reexecs, r.Fallbacks, r.FabricBytesRead, r.ReplicatedBytes, r.Error)
-	}
-	t.flush()
-	return nil
 }
 
 func init() {

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"io"
 
 	"rmmap/internal/memsim"
 	"rmmap/internal/objrt"
@@ -85,7 +84,7 @@ func topoFanout(producer, consumer, width, elems int) *platform.Workflow {
 
 // runAblFanout ablates the remote page cache and the fault-coalescing
 // readahead independently on the pinned 1→8 fan-out.
-func runAblFanout(w io.Writer, scale float64) error {
+func runAblFanout(scale float64) (Result, error) {
 	const width = 8
 	elems := scaleInt(65536, scale)
 	grid := []struct {
@@ -97,26 +96,25 @@ func runAblFanout(w io.Writer, scale float64) error {
 		{"off/on", platform.Options{NoPageCache: true}},
 		{"off/off", platform.Options{NoPageCache: true, NoReadahead: true}},
 	}
-	t := newTable(w, "cache/readahead", "latency", "fabric-pages", "roundtrips", "hits", "hit-rate", "ra-pages")
+	t := &Table{Header: []string{"cache/readahead", "latency", "fabric-pages", "roundtrips", "hits", "hit-rate", "ra-pages"}}
 	for _, g := range grid {
-		cl, _, err := topoCluster(2)
+		cl, err := topoCluster(2)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		e, err := platform.NewEngineOn(cl, fanoutWorkflow(width, elems), platform.ModeRMMAP, g.opts, 4+2*width)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		res, err := e.Run()
 		if err != nil {
-			return fmt.Errorf("abl-fanout %s: %w", g.label, err)
+			return nil, fmt.Errorf("abl-fanout %s: %w", g.label, err)
 		}
 		reads, batches, _, bytesRead := cl.Fabric.Stats()
-		t.row(g.label, res.Latency, bytesRead/memsim.PageSize, reads+batches,
+		t.add(g.label, res.Latency, bytesRead/memsim.PageSize, reads+batches,
 			res.Cache.Hits, pct(res.Cache.HitRate(), 1), res.Cache.ReadaheadPages)
 	}
-	t.flush()
-	return nil
+	return Result{t}, nil
 }
 
 func init() {

@@ -3,7 +3,6 @@ package bench
 import (
 	"errors"
 	"fmt"
-	"io"
 
 	"rmmap/internal/kernel"
 	"rmmap/internal/memsim"
@@ -24,7 +23,7 @@ func init() {
 	})
 }
 
-func runAblFork(w io.Writer, scale float64) error {
+func runAblFork(scale float64) (Result, error) {
 	cm := simtime.DefaultCostModel()
 	n := scaleInt(50000, scale)
 
@@ -51,80 +50,80 @@ func runAblFork(w io.Writer, scale float64) error {
 		return as, obj, err
 	}
 
-	t := newTable(w, "scenario", "mechanism", "consumer-side cost", "outcome")
+	t := &Table{Header: []string{"scenario", "mechanism", "consumer-side cost", "outcome"}}
 
 	// Single producer: fork vs rmap, consumer reads the whole list.
 	asA, objA, err := producer(0, 1)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	metaFork, err := rfork.Prepare(kernels[0], asA, 1, 3)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	child, err := rfork.Fork(kernels[2], cm, metaFork)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	childRT, err := objrt.NewRuntime(child.AS, objrt.Config{HeapStart: 0x9000_0000, HeapEnd: 0x9100_0000})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if err := checksum(objA.View(childRT)); err != nil {
-		return err
+		return nil, err
 	}
-	t.row("1 producer", "remote fork", child.AS.Meter().Total(), "ok")
+	t.add("1 producer", "remote fork", child.AS.Meter().Total(), "ok")
 	if err := child.Release(); err != nil {
-		return err
+		return nil, err
 	}
 
 	asA2, objA2, err := producer(0, 11)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	metaMap, err := kernels[0].RegisterMem(asA2, 11, 12, imageHeap, imageHeap+0x1000_0000)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	consAS := memsim.NewAddressSpace(kernels[2].Machine(), cm)
 	consAS.SetMeter(simtime.NewMeter())
 	consRT, err := objrt.NewRuntime(consAS, objrt.Config{HeapStart: 0x9000_0000, HeapEnd: 0x9100_0000})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	mp, err := kernels[2].Rmap(consAS, metaMap.Machine, metaMap.ID, metaMap.Key, metaMap.Start, metaMap.End)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if err := checksum(objA2.View(consRT)); err != nil {
-		return err
+		return nil, err
 	}
-	t.row("1 producer", "rmap", consAS.Meter().Total(), "ok")
+	t.add("1 producer", "rmap", consAS.Meter().Total(), "ok")
 	if err := mp.Unmap(); err != nil {
-		return err
+		return nil, err
 	}
 
 	// Two producers, one consumer.
 	asB, _, err := producer(1, 2)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	metaForkB, err := rfork.Prepare(kernels[1], asB, 2, 6)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	merge := memsim.NewAddressSpace(kernels[2].Machine(), cm)
 	merge.SetMeter(simtime.NewMeter())
 	if _, err := rfork.ForkInto(kernels[2], merge, metaFork); err != nil {
-		return err
+		return nil, err
 	}
 	_, err = rfork.ForkInto(kernels[2], merge, metaForkB)
 	if errors.Is(err, memsim.ErrVMAOverlap) {
-		t.row("2 producers", "remote fork", "-", "FAILS: same-image address collision")
+		t.add("2 producers", "remote fork", "-", "FAILS: same-image address collision")
 	} else if err != nil {
-		return err
+		return nil, err
 	} else {
-		return fmt.Errorf("abl-fork: expected fork collision")
+		return nil, fmt.Errorf("abl-fork: expected fork collision")
 	}
 
 	// rmap with a plan: give the second producer a disjoint planned heap.
@@ -132,39 +131,38 @@ func runAblFork(w io.Writer, scale float64) error {
 	asC.SetMeter(simtime.NewMeter())
 	rtC, err := objrt.NewRuntime(asC, objrt.Config{HeapStart: 0x6000_0000, HeapEnd: 0x7000_0000})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	objC, err := rtC.NewIntList(make([]int64, n))
 	if err != nil {
-		return err
+		return nil, err
 	}
 	metaC, err := kernels[1].RegisterMem(asC, 21, 22, 0x6000_0000, 0x7000_0000)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	merge2 := memsim.NewAddressSpace(kernels[2].Machine(), cm)
 	merge2.SetMeter(simtime.NewMeter())
 	merge2RT, err := objrt.NewRuntime(merge2, objrt.Config{HeapStart: 0x9000_0000, HeapEnd: 0x9100_0000})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	mpA, err := kernels[2].Rmap(merge2, metaMap.Machine, metaMap.ID, metaMap.Key, metaMap.Start, metaMap.End)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer mpA.Unmap()
 	mpC, err := kernels[2].Rmap(merge2, metaC.Machine, metaC.ID, metaC.Key, metaC.Start, metaC.End)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer mpC.Unmap()
 	if err := checksum(objA2.View(merge2RT)); err != nil {
-		return err
+		return nil, err
 	}
 	if err := checksum(objC.View(merge2RT)); err != nil {
-		return err
+		return nil, err
 	}
-	t.row("2 producers", "rmap (planned)", merge2.Meter().Total(), "ok: both states merged")
-	t.flush()
-	return nil
+	t.add("2 producers", "rmap (planned)", merge2.Meter().Total(), "ok: both states merged")
+	return Result{t}, nil
 }

@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"io"
-
 	"rmmap/internal/objrt"
 	"rmmap/internal/platform"
 )
@@ -42,28 +40,27 @@ func cascadeWorkflow(n int) *platform.Workflow {
 	}
 }
 
-func runAblForward(w io.Writer, scale float64) error {
-	t := newTable(w, "entries", "cascade", "latency", "total work", "B compute (copy)")
+func runAblForward(scale float64) (Result, error) {
+	t := &Table{Header: []string{"entries", "cascade", "latency", "total work", "B compute (copy)"}}
 	for _, n := range []int{10000, 100000} {
 		n = scaleInt(n, scale)
 		for _, forward := range []bool{false, true} {
 			e, err := platform.NewEngine(cascadeWorkflow(n), platform.ModeRMMAPPrefetch,
 				platform.Options{ForwardRemote: forward}, platform.ClusterConfig{Machines: 3, Pods: 6})
 			if err != nil {
-				return err
+				return nil, err
 			}
 			res, err := e.Run()
 			if err != nil {
-				return err
+				return nil, err
 			}
 			name := "copy (deployed design)"
 			if forward {
 				name = "forward (multi-hop map)"
 			}
-			t.row(n, name, res.Latency, res.Meter.Total(),
+			t.add(n, name, res.Latency, res.Meter.Total(),
 				res.PerFunction["B"].Get(computeCat()))
 		}
 	}
-	t.flush()
-	return nil
+	return Result{t}, nil
 }

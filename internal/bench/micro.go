@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"io"
 
 	"rmmap/internal/kernel"
 	"rmmap/internal/memsim"
@@ -415,36 +414,35 @@ func init() {
 	})
 }
 
-func runFig11a(w io.Writer, scale float64) error {
-	t := newTable(w, "type", "approach", "T", "N", "R", "E2E", "wire", "faults", "vs messaging")
+func runFig11a(scale float64) (Result, error) {
+	t := &Table{Header: []string{"type", "approach", "T", "N", "R", "E2E", "wire", "faults", "vs messaging"}}
 	for _, typ := range microTypes(scale) {
 		var base xfer
 		for ap := approach(0); ap < numApproaches; ap++ {
 			rig, err := newMicroRig(simtime.DefaultCostModel())
 			if err != nil {
-				return err
+				return nil, err
 			}
 			root, err := typ.Build(rig.ProdRT)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			x, err := rig.transfer(root, ap)
 			if err != nil {
-				return fmt.Errorf("%s/%s: %w", typ.Name, ap, err)
+				return nil, fmt.Errorf("%s/%s: %w", typ.Name, ap, err)
 			}
 			if ap == apMessaging {
 				base = x
 			}
-			t.row(typ.Name, ap, x.T, x.N, x.R, x.E2E(),
+			t.add(typ.Name, ap.String(), x.T, x.N, x.R, x.E2E(),
 				x.Wire, x.Faults, speedup(float64(base.E2E()), float64(x.E2E())))
 		}
 	}
-	t.flush()
-	return nil
+	return Result{t}, nil
 }
 
-func runFig11b(w io.Writer, scale float64) error {
-	t := newTable(w, "entries", "payload", "approach", "E2E", "vs storage(rdma)")
+func runFig11b(scale float64) (Result, error) {
+	t := &Table{Header: []string{"entries", "payload", "approach", "E2E", "vs storage(rdma)"}}
 	sweeps := []int{8, 128, 2048, 32768, 262144}
 	for _, n := range sweeps {
 		n = scaleInt(n, scale)
@@ -452,7 +450,7 @@ func runFig11b(w io.Writer, scale float64) error {
 		for ap := approach(0); ap < numApproaches; ap++ {
 			rig, err := newMicroRig(simtime.DefaultCostModel())
 			if err != nil {
-				return err
+				return nil, err
 			}
 			vals := make([]int64, n)
 			for i := range vals {
@@ -460,24 +458,23 @@ func runFig11b(w io.Writer, scale float64) error {
 			}
 			root, err := rig.ProdRT.NewIntList(vals)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			results[ap], err = rig.transfer(root, ap)
 			if err != nil {
-				return err
+				return nil, err
 			}
 		}
 		drtmE2E := results[apDrTM].E2E()
 		for ap := approach(0); ap < numApproaches; ap++ {
 			x := results[ap]
-			t.row(n, fmt.Sprintf("%dB", n*8), ap, x.E2E(), speedup(float64(drtmE2E), float64(x.E2E())))
+			t.add(n, fmt.Sprintf("%dB", n*8), ap.String(), x.E2E(), speedup(float64(drtmE2E), float64(x.E2E())))
 		}
 	}
-	t.flush()
-	return nil
+	return Result{t}, nil
 }
 
-func runFig15(w io.Writer, scale float64) error {
+func runFig15(scale float64) (Result, error) {
 	// The PCA→train state: a features matrix dataframe. Every factor
 	// includes the consuming function's read compute (as the paper's
 	// factor analysis factors out training but keeps the state read).
@@ -561,25 +558,17 @@ func runFig15(w io.Writer, scale float64) error {
 		{"rmmap(rpc-paging)", func() (simtime.Duration, error) { return rmmapVariant(false, kernel.PagingRPC) }},
 	}
 
-	t := newTable(w, "factor", "transfer+read", "vs optimal")
+	t := &Table{Header: []string{"factor", "transfer+read", "vs optimal"}}
 	var base simtime.Duration
 	for i, f := range factors {
 		d, err := f.run()
 		if err != nil {
-			return fmt.Errorf("%s: %w", f.name, err)
+			return nil, fmt.Errorf("%s: %w", f.name, err)
 		}
 		if i == 0 {
 			base = d
 		}
-		t.row(f.name, d, fmt.Sprintf("%.2fx", float64(d)/float64(max64(base, 1))))
+		t.add(f.name, d, Multiplier(float64(d)/float64(max(base, 1))))
 	}
-	t.flush()
-	return nil
-}
-
-func max64(a, b simtime.Duration) simtime.Duration {
-	if a > b {
-		return a
-	}
-	return b
+	return Result{t}, nil
 }

@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"io"
-
 	"rmmap/internal/kernel"
 	"rmmap/internal/memsim"
 	"rmmap/internal/naos"
@@ -13,23 +11,23 @@ import (
 
 // runFig16b compares RMMAP against Naos on the Fig 16b microbenchmark: a
 // Java map of (Integer → char[5]) pairs, swept over entry counts.
-func runFig16b(w io.Writer, scale float64) error {
+func runFig16b(scale float64) (Result, error) {
 	cm := simtime.DefaultCostModel()
-	t := newTable(w, "entries", "naos", "rmmap", "rmmap advantage")
+	t := &Table{Header: []string{"entries", "naos", "rmmap", "rmmap advantage"}}
 	for _, n := range []int{1000, 10000, 50000} {
 		n = scaleInt(n, scale)
 		// Naos path.
 		rig, err := newMicroRig(cm)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		root, err := javaMapObj(rig.ProdRT, n)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		naosMeter := simtime.NewMeter()
 		if _, _, err := naos.Send(root, rig.ConsRT, naos.DefaultProfile(cm), naosMeter); err != nil {
-			return err
+			return nil, err
 		}
 
 		// RMMAP path on a fresh rig. The heap holds exactly the state,
@@ -38,21 +36,20 @@ func runFig16b(w io.Writer, scale float64) error {
 		// and rewrite every object, RMMAP touches page tables).
 		rig2, err := newMicroRig(cm)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		root2, err := javaMapObj(rig2.ProdRT, n)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		x, err := rig2.transfer(root2, apRMMAPRange)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		nv, rv := float64(naosMeter.Total()), float64(x.E2E())
-		t.row(n, simtime.Duration(naosMeter.Total()), x.E2E(), pct(nv-rv, nv))
+		t.add(n, simtime.Duration(naosMeter.Total()), x.E2E(), pct(nv-rv, nv))
 	}
-	t.flush()
-	return nil
+	return Result{t}, nil
 }
 
 func javaMapObj(rt *objrt.Runtime, n int) (objrt.Obj, error) {
@@ -99,19 +96,19 @@ func init() {
 }
 
 // runAblPrefetch sweeps the traversal threshold on a list(int).
-func runAblPrefetch(w io.Writer, scale float64) error {
+func runAblPrefetch(scale float64) (Result, error) {
 	cm := simtime.DefaultCostModel()
 	n := scaleInt(100000, scale)
-	t := newTable(w, "threshold", "traversed", "prefetched-pages", "T", "N", "E2E", "faults")
+	t := &Table{Header: []string{"threshold", "traversed", "prefetched-pages", "T", "N", "E2E", "faults"}}
 	for _, thr := range []int{0, 100, 1000, 10000} {
 		rig, err := newMicroRig(cm)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		vals := make([]int64, n)
 		root, err := rig.ProdRT.NewIntList(vals)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		prodMeter, consMeter := simtime.NewMeter(), simtime.NewMeter()
 		rig.prodAS.SetMeter(prodMeter)
@@ -120,46 +117,45 @@ func runAblPrefetch(w io.Writer, scale float64) error {
 		end := (rig.ProdRT.Heap().Used() + memsim.PageSize) &^ uint64(memsim.PageSize-1)
 		meta, err := rig.prodK.RegisterMem(rig.prodAS, 1, 1, start, end)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		plan, err := objrt.PlanPrefetch(root, thr, prodMeter)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		mp, err := rig.consK.Rmap(rig.consAS, meta.Machine, meta.ID, meta.Key, meta.Start, meta.End)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if err := mp.Prefetch(plan.Pages); err != nil {
-			return err
+			return nil, err
 		}
 		if err := checksum(root.View(rig.ConsRT)); err != nil {
-			return err
+			return nil, err
 		}
 		total := prodMeter.Total() + consMeter.Total()
-		t.row(thr, plan.Objects, len(plan.Pages),
+		t.add(thr, plan.Objects, len(plan.Pages),
 			prodMeter.Get(simtime.CatRegister),
 			consMeter.Get(simtime.CatMap)+consMeter.Get(simtime.CatFault),
 			total, rig.consAS.Faults())
 	}
-	t.flush()
-	return nil
+	return Result{t}, nil
 }
 
 // runAblBatch compares doorbell-batched prefetch against per-fault reads
 // for a page-dense ndarray.
-func runAblBatch(w io.Writer, scale float64) error {
+func runAblBatch(scale float64) (Result, error) {
 	cm := simtime.DefaultCostModel()
 	n := scaleInt(500000, scale)
-	t := newTable(w, "mode", "pages", "N", "faults")
+	t := &Table{Header: []string{"mode", "pages", "N", "faults"}}
 	for _, batched := range []bool{true, false} {
 		rig, err := newMicroRig(cm)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		root, err := rig.ProdRT.NewNDArray([]int{n}, make([]float64, n))
 		if err != nil {
-			return err
+			return nil, err
 		}
 		ap := apRMMAP
 		if batched {
@@ -167,27 +163,26 @@ func runAblBatch(w io.Writer, scale float64) error {
 		}
 		x, err := rig.transfer(root, ap)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		name := "per-fault reads"
 		if batched {
 			name = "doorbell batch"
 		}
-		t.row(name, (n*8)/memsim.PageSize, x.N, x.Faults)
+		t.add(name, (n*8)/memsim.PageSize, x.N, x.Faults)
 	}
-	t.flush()
-	return nil
+	return Result{t}, nil
 }
 
 // runAblConn compares QP-establishment paths.
-func runAblConn(w io.Writer, scale float64) error {
+func runAblConn(scale float64) (Result, error) {
 	cm := simtime.DefaultCostModel()
 	n := scaleInt(50000, scale)
-	t := newTable(w, "connect path", "first-transfer E2E", "steady-state E2E")
+	t := &Table{Header: []string{"connect path", "first-transfer E2E", "steady-state E2E"}}
 	for _, mode := range []rdma.ConnectMode{rdma.ConnectKernel, rdma.ConnectUser} {
 		rig, err := newMicroRig(cm)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		// Swap the consumer kernel's NIC mode.
 		nic := rdma.NewNIC(1, rig.fabric)
@@ -195,54 +190,53 @@ func runAblConn(w io.Writer, scale float64) error {
 		rig.consK = kernel.New(rig.consM, nic, cm)
 		root, err := rig.ProdRT.NewNDArray([]int{n}, make([]float64, n))
 		if err != nil {
-			return err
+			return nil, err
 		}
 		first, err := rig.transfer(root, apRMMAPPrefetch)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		second, err := rig.transfer(root, apRMMAPPrefetch)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		name := "kernel-space (KRCore)"
 		if mode == rdma.ConnectUser {
 			name = "user-space verbs"
 		}
-		t.row(name, first.E2E(), second.E2E())
+		t.add(name, first.E2E(), second.E2E())
 	}
-	t.flush()
-	return nil
+	return Result{t}, nil
 }
 
 // runAblScope compares register scopes with a library-heavy producer.
-func runAblScope(w io.Writer, scale float64) error {
+func runAblScope(scale float64) (Result, error) {
 	cm := simtime.DefaultCostModel()
 	n := scaleInt(50000, scale)
 	textPages := 4096 // a 16 MB resident library footprint
-	t := newTable(w, "scope", "registered-pages", "T(register)", "note")
+	t := &Table{Header: []string{"scope", "registered-pages", "T(register)", "note"}}
 	for _, whole := range []bool{false, true} {
 		rig, err := newMicroRig(cm)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		// Model the resident library as extra touched pages below the
 		// heap when whole-space scope is used.
 		textStart := microProdHeap - uint64(textPages)*memsim.PageSize
 		if whole {
 			if err := rig.prodAS.MapAnon(textStart, microProdHeap, memsim.SegText, true); err != nil {
-				return err
+				return nil, err
 			}
 			buf := []byte{1}
 			for i := 0; i < textPages; i++ {
 				if err := rig.prodAS.Write(textStart+uint64(i)*memsim.PageSize, buf); err != nil {
-					return err
+					return nil, err
 				}
 			}
 		}
 		root, err := rig.ProdRT.NewIntList(make([]int64, n))
 		if err != nil {
-			return err
+			return nil, err
 		}
 		_ = root
 		prodMeter := simtime.NewMeter()
@@ -254,14 +248,13 @@ func runAblScope(w io.Writer, scale float64) error {
 		end := (rig.ProdRT.Heap().Used() + memsim.PageSize) &^ uint64(memsim.PageSize-1)
 		meta, err := rig.prodK.RegisterMem(rig.prodAS, 1, 1, start, end)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		name, note := "heap-only", "unsafe if objects reference .text (callbacks)"
 		if whole {
 			name, note = "whole-space", "the paper's final choice"
 		}
-		t.row(name, meta.Pages, prodMeter.Get(simtime.CatRegister), note)
+		t.add(name, meta.Pages, prodMeter.Get(simtime.CatRegister), note)
 	}
-	t.flush()
-	return nil
+	return Result{t}, nil
 }

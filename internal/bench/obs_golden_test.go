@@ -2,11 +2,8 @@ package bench
 
 import (
 	"bytes"
-	"encoding/json"
-	"maps"
 	"os"
 	"path/filepath"
-	"slices"
 	"testing"
 
 	"rmmap/internal/obs"
@@ -114,48 +111,4 @@ func TestProfileGoldenFig14(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkGolden(t, "fig14_wordcount_profile.folded", buf.Bytes())
-}
-
-// TestFig14JSONHasBreakdown pins the acceptance criterion on
-// BENCH_fig14.json: every row carries a nonempty per-category virtual-time
-// breakdown consistent with its latency, and the report carries only
-// virtual-time sections.
-func TestFig14JSONHasBreakdown(t *testing.T) {
-	rep, err := CollectFig14(goldenScale)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Rows) == 0 {
-		t.Fatal("no rows")
-	}
-	for _, row := range rep.Rows {
-		if len(row.BreakdownNs) == 0 {
-			t.Errorf("%s/%s: empty simtime breakdown", row.Workflow, row.Mode)
-			continue
-		}
-		var total int64
-		for cat, ns := range row.BreakdownNs {
-			if ns <= 0 {
-				t.Errorf("%s/%s: category %s has non-positive total %d", row.Workflow, row.Mode, cat, ns)
-			}
-			total += ns
-		}
-		// Total work is at least the critical-path latency (parallelism
-		// makes it larger, never smaller).
-		if total < row.LatencyNs {
-			t.Errorf("%s/%s: breakdown total %d < latency %d", row.Workflow, row.Mode, total, row.LatencyNs)
-		}
-	}
-	raw, err := json.Marshal(rep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sections map[string]json.RawMessage
-	if err := json.Unmarshal(raw, &sections); err != nil {
-		t.Fatal(err)
-	}
-	keys := slices.Sorted(maps.Keys(sections))
-	if want := []string{"failover", "rows", "scale", "topology_cliff"}; !slices.Equal(keys, want) {
-		t.Errorf("BENCH_fig14.json sections = %v, want %v", keys, want)
-	}
 }

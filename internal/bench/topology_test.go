@@ -3,65 +3,67 @@ package bench
 import (
 	"bytes"
 	"encoding/json"
+	"strings"
 	"testing"
 
 	"rmmap/internal/obs"
 	"rmmap/internal/platform"
 	"rmmap/internal/platformbuilder"
+	"rmmap/internal/simtime"
 )
-
-// collectTopologyAt runs the topology-cliff grid at one worker count and
-// returns its serialized rows.
-func collectTopologyAt(t *testing.T, workers int) []byte {
-	t.Helper()
-	old := Workers
-	Workers = workers
-	defer func() { Workers = old }()
-	rows, err := CollectTopology(goldenScale)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := json.Marshal(rows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
-}
 
 // TestTopologyCliff pins the abl-topology acceptance criteria: cross-rack
 // placement on the spine-leaf recipe costs at least 2x the intra-rack
 // datapath, rack-local placement eliminates cross-rack traffic, and the
 // whole grid is byte-identical at any worker count.
 func TestTopologyCliff(t *testing.T) {
-	ref := collectTopologyAt(t, 1)
-	if got := collectTopologyAt(t, 8); !bytes.Equal(ref, got) {
-		t.Errorf("topology rows differ between workers=1 and workers=8\n--- workers=1:\n%s\n--- workers=8:\n%s", ref, got)
-	}
-	var rows []TopologyRow
-	if err := json.Unmarshal(ref, &rows); err != nil {
-		t.Fatal(err)
-	}
-	if ratio := TopologyCliff(rows); ratio < 2 {
-		t.Errorf("spine-leaf cross/intra datapath ratio = %.2f, want >= 2", ratio)
-	}
-	byPlacement := make(map[string]TopologyRow)
-	for _, r := range rows {
-		if r.Topology == "spine-leaf" {
-			byPlacement[r.Placement] = r
+	ref := tiny(t, "abl-topology")
+	refJSON, _ := json.Marshal(ref)
+	old := Workers
+	defer func() { Workers = old }()
+	for _, workers := range []int{1, 8} {
+		Workers = workers
+		res, err := runAblTopology(tinyScale)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, _ := json.Marshal(res); !bytes.Equal(refJSON, got) {
+			t.Errorf("topology grid differs between workers=%d and the default\n--- workers=%d:\n%s\n--- default:\n%s",
+				workers, workers, got, refJSON)
 		}
 	}
-	cross, spread, local := byPlacement["cross-rack"], byPlacement["spread"], byPlacement["rack-local"]
-	if cross.CrossRackOps == 0 || cross.SpineNs == 0 {
+
+	type leg struct {
+		datapath, spine simtime.Duration
+		crossOps        int64
+	}
+	byPlacement := make(map[string]leg)
+	tbl := ref[0]
+	for i := range tbl.Rows {
+		if p, ok := strings.CutPrefix(tbl.Cell(i, "topology/placement").(string), "spine-leaf/"); ok {
+			byPlacement[p] = leg{
+				datapath: tbl.Cell(i, "datapath").(simtime.Duration),
+				spine:    tbl.Cell(i, "spine").(simtime.Duration),
+				crossOps: tbl.Cell(i, "cross-ops").(int64),
+			}
+		}
+	}
+	intra, cross := byPlacement["intra-rack"], byPlacement["cross-rack"]
+	spread, local := byPlacement["spread"], byPlacement["rack-local"]
+	if ratio := float64(cross.datapath) / float64(intra.datapath); !(ratio >= 2) {
+		t.Errorf("spine-leaf cross/intra datapath ratio = %.2f, want >= 2", ratio)
+	}
+	if cross.crossOps == 0 || cross.spine == 0 {
 		t.Errorf("cross-rack leg recorded no spine traffic: %+v", cross)
 	}
-	if spread.CrossRackOps == 0 {
+	if spread.crossOps == 0 {
 		t.Errorf("spread placement crossed no racks — the placement-policy comparison is vacuous")
 	}
-	if local.CrossRackOps != 0 {
-		t.Errorf("rack-local placement still crossed racks %d times", local.CrossRackOps)
+	if local.crossOps != 0 {
+		t.Errorf("rack-local placement still crossed racks %d times", local.crossOps)
 	}
-	if local.DatapathNs >= spread.DatapathNs {
-		t.Errorf("rack-local datapath %d not below spread %d", local.DatapathNs, spread.DatapathNs)
+	if local.datapath >= spread.datapath {
+		t.Errorf("rack-local datapath %v not below spread %v", local.datapath, spread.datapath)
 	}
 }
 

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"io"
 
 	"rmmap/internal/objrt"
 	"rmmap/internal/platform"
@@ -41,9 +40,6 @@ func Workflows(scale float64) []WorkflowBuilder {
 		{"WordCount", func() *platform.Workflow { return workloads.WordCount(wc) }},
 	}
 }
-
-// wfBuilders is the historical internal name for Workflows.
-func wfBuilders(scale float64) []WorkflowBuilder { return Workflows(scale) }
 
 func benchCluster() platform.ClusterConfig { return platform.ClusterConfig{Machines: 10, Pods: 80} }
 
@@ -115,51 +111,54 @@ func init() {
 	})
 }
 
-func runFig3(w io.Writer, scale float64) error {
-	t := newTable(w, "workflow", "approach", "E2E-work", "transfer", "func", "platform", "transfer-ratio")
-	for _, wfb := range wfBuilders(scale) {
+func runFig3(scale float64) (Result, error) {
+	t := &Table{Header: []string{"workflow", "approach", "E2E-work", "transfer", "func", "platform", "transfer-ratio"}}
+	for _, wfb := range Workflows(scale) {
 		for _, mode := range []platform.Mode{platform.ModeMessaging, platform.ModeStoragePocket} {
 			res, err := runOne(wfb.Build(), mode, benchOptions())
 			if err != nil {
-				return fmt.Errorf("%s/%v: %w", wfb.Name, mode, err)
+				return nil, fmt.Errorf("%s/%v: %w", wfb.Name, mode, err)
 			}
 			m := res.Meter
-			t.row(wfb.Name, mode, m.Total(), m.TransferTotal(),
+			t.add(wfb.Name, mode.String(), m.Total(), m.TransferTotal(),
 				m.Get(simtime.CatCompute), m.Get(simtime.CatPlatform),
 				pct(float64(m.TransferTotal()), float64(m.Total())))
 		}
 	}
-	t.flush()
-	return nil
+	return Result{t}, nil
 }
 
-func runFig5(w io.Writer, scale float64) error {
-	t := newTable(w, "workflow", "approach", "E2E-work", "ser+des", "ser+des-ratio")
-	for _, wfb := range wfBuilders(scale) {
+func runFig5(scale float64) (Result, error) {
+	t := &Table{Header: []string{"workflow", "approach", "E2E-work", "ser+des", "ser+des-ratio"}}
+	for _, wfb := range Workflows(scale) {
 		for _, mode := range []platform.Mode{platform.ModeMessaging, platform.ModeStoragePocket} {
 			res, err := runOne(wfb.Build(), mode, platform.Options{ZeroNetwork: true})
 			if err != nil {
-				return fmt.Errorf("%s/%v: %w", wfb.Name, mode, err)
+				return nil, fmt.Errorf("%s/%v: %w", wfb.Name, mode, err)
 			}
 			m := res.Meter
-			t.row(wfb.Name, mode, m.Total(), m.SerTotal(),
+			t.add(wfb.Name, mode.String(), m.Total(), m.SerTotal(),
 				pct(float64(m.SerTotal()), float64(m.Total())))
 		}
 	}
-	t.flush()
-	return nil
+	return Result{t}, nil
 }
 
-func runFig14(w io.Writer, scale float64) error {
-	t := newTable(w, "workflow", "approach", "latency", "vs best baseline")
-	for _, wfb := range wfBuilders(scale) {
+// runFig14 runs every evaluated workflow under every transfer mode, each
+// cell on a fresh Topology cluster, and reports latency next to the
+// fabric and remote-page-cache counters behind it.
+func runFig14(scale float64) (Result, error) {
+	t := &Table{Header: []string{"workflow", "approach", "latency", "vs best baseline",
+		"reads", "batches", "batch-pages", "bytes-read", "hits", "misses", "hit-rate", "ra-pages"}}
+	for _, wfb := range Workflows(scale) {
 		lat := map[platform.Mode]simtime.Duration{}
+		counters := map[platform.Mode][]any{}
 		for _, mode := range platform.AllModes() {
-			res, err := runOne(wfb.Build(), mode, benchOptions())
+			l, c, err := fig14Cell(wfb.Build(), mode)
 			if err != nil {
-				return fmt.Errorf("%s/%v: %w", wfb.Name, mode, err)
+				return nil, fmt.Errorf("%s/%v: %w", wfb.Name, mode, err)
 			}
-			lat[mode] = res.Latency
+			lat[mode], counters[mode] = l, c
 		}
 		best := lat[platform.ModeMessaging]
 		for _, m := range []platform.Mode{platform.ModeStoragePocket, platform.ModeStorageDrTM} {
@@ -168,86 +167,104 @@ func runFig14(w io.Writer, scale float64) error {
 			}
 		}
 		for _, mode := range platform.AllModes() {
-			t.row(wfb.Name, mode, lat[mode], speedup(float64(best), float64(lat[mode])))
+			t.add(append([]any{wfb.Name, mode.String(), lat[mode],
+				speedup(float64(best), float64(lat[mode]))}, counters[mode]...)...)
 		}
 	}
-	t.flush()
-	return nil
+	return Result{t}, nil
 }
 
-func runFig13a(w io.Writer, scale float64) error {
-	t := newTable(w, "epochs", "storage(rdma)", "rmmap(prefetch)", "improvement")
-	for _, epochs := range []int{5, 10, 20, 30} {
+// fig14Cell runs one cell of the Fig 14 grid on a fresh Topology cluster
+// and returns its latency and fig14Counters.
+func fig14Cell(wf *platform.Workflow, mode platform.Mode) (simtime.Duration, []any, error) {
+	cfg := benchCluster()
+	cl, err := topoCluster(cfg.Machines)
+	if err != nil {
+		return 0, nil, err
+	}
+	defer cl.Close()
+	e, err := platform.NewEngineOn(cl, wf, mode, benchOptions(), cfg.Pods)
+	if err != nil {
+		return 0, nil, err
+	}
+	res, err := e.Run()
+	if err != nil {
+		return 0, nil, err
+	}
+	return res.Latency, fig14Counters(cl, res), nil
+}
+
+// fig14Counters are the cells fig14 prints after a cell's latency: the
+// fabric's one-sided reads, doorbell batches, batch pages and bytes read,
+// then the remote page cache's hits, misses, hit rate and readahead pages.
+func fig14Counters(cl *platform.Cluster, res platform.RunResult) []any {
+	reads, batches, _, bytesRead := cl.Fabric.Stats()
+	return []any{reads, batches, cl.Fabric.BatchPages(), bytesRead,
+		res.Cache.Hits, res.Cache.Misses, pct(res.Cache.HitRate(), 1), res.Cache.ReadaheadPages}
+}
+
+// mlTrainSweep runs ML training under storage(rdma) and rmmap(prefetch)
+// once per config, one row each: the swept value, both latencies and
+// rmmap's improvement.
+func mlTrainSweep(col string, values []int, config func(int) workloads.MLTrainConfig) (Result, error) {
+	t := &Table{Header: []string{col, "storage(rdma)", "rmmap(prefetch)", "improvement"}}
+	for _, v := range values {
+		cfg := config(v)
+		stor, err := runOne(workloads.MLTrain(cfg), platform.ModeStorageDrTM, benchOptions())
+		if err != nil {
+			return nil, err
+		}
+		rm, err := runOne(workloads.MLTrain(cfg), platform.ModeRMMAPPrefetch, benchOptions())
+		if err != nil {
+			return nil, err
+		}
+		t.add(v, stor.Latency, rm.Latency,
+			pct(float64(stor.Latency-rm.Latency), float64(stor.Latency)))
+	}
+	return Result{t}, nil
+}
+
+func runFig13a(scale float64) (Result, error) {
+	return mlTrainSweep("epochs", []int{5, 10, 20, 30}, func(epochs int) workloads.MLTrainConfig {
 		cfg := workloads.DefaultMLTrain()
 		cfg.Images = scaleInt(cfg.Images, scale)
 		cfg.Epochs = epochs
-		stor, err := runOne(workloads.MLTrain(cfg), platform.ModeStorageDrTM, benchOptions())
-		if err != nil {
-			return err
-		}
-		rm, err := runOne(workloads.MLTrain(cfg), platform.ModeRMMAPPrefetch, benchOptions())
-		if err != nil {
-			return err
-		}
-		t.row(epochs, stor.Latency, rm.Latency,
-			pct(float64(stor.Latency-rm.Latency), float64(stor.Latency)))
-	}
-	t.flush()
-	return nil
+		return cfg
+	})
 }
 
-func runFig13b(w io.Writer, scale float64) error {
-	t := newTable(w, "images", "storage(rdma)", "rmmap(prefetch)", "improvement")
-	for _, images := range []int{500, 1000, 2000, 4000} {
+func runFig13b(scale float64) (Result, error) {
+	var images []int
+	for _, n := range []int{500, 1000, 2000, 4000} {
+		images = append(images, scaleInt(n, scale))
+	}
+	return mlTrainSweep("images", images, func(n int) workloads.MLTrainConfig {
 		cfg := workloads.DefaultMLTrain()
-		cfg.Images = scaleInt(images, scale)
-		stor, err := runOne(workloads.MLTrain(cfg), platform.ModeStorageDrTM, benchOptions())
-		if err != nil {
-			return err
-		}
-		rm, err := runOne(workloads.MLTrain(cfg), platform.ModeRMMAPPrefetch, benchOptions())
-		if err != nil {
-			return err
-		}
-		t.row(cfg.Images, stor.Latency, rm.Latency,
-			pct(float64(stor.Latency-rm.Latency), float64(stor.Latency)))
-	}
-	t.flush()
-	return nil
+		cfg.Images = n
+		return cfg
+	})
 }
 
-func runFig13c(w io.Writer, scale float64) error {
-	t := newTable(w, "trainers", "storage(rdma)", "rmmap(prefetch)", "improvement")
-	for _, width := range []int{2, 4, 8, 16} {
+func runFig13c(scale float64) (Result, error) {
+	return mlTrainSweep("trainers", []int{2, 4, 8, 16}, func(width int) workloads.MLTrainConfig {
 		cfg := workloads.DefaultMLTrain()
 		cfg.Images = scaleInt(cfg.Images, scale)
 		cfg.Trainers = width
-		stor, err := runOne(workloads.MLTrain(cfg), platform.ModeStorageDrTM, benchOptions())
-		if err != nil {
-			return err
-		}
-		rm, err := runOne(workloads.MLTrain(cfg), platform.ModeRMMAPPrefetch, benchOptions())
-		if err != nil {
-			return err
-		}
-		t.row(width, stor.Latency, rm.Latency,
-			pct(float64(stor.Latency-rm.Latency), float64(stor.Latency)))
-	}
-	t.flush()
-	return nil
+		return cfg
+	})
 }
 
-func runFig13d(w io.Writer, scale float64) error {
+func runFig13d(scale float64) (Result, error) {
 	cfg := workloads.DefaultWordCount()
 	cfg.BookBytes = scaleInt(cfg.BookBytes, scale)
 	cfg.Lang = objrt.LangJava
-	t := newTable(w, "approach", "latency (Java WordCount)", "rmmap advantage")
+	t := &Table{Header: []string{"approach", "latency (Java WordCount)", "rmmap advantage"}}
 	var rm simtime.Duration
 	results := map[platform.Mode]simtime.Duration{}
 	for _, mode := range platform.AllModes() {
 		res, err := runOne(workloads.WordCount(cfg), mode, benchOptions())
 		if err != nil {
-			return err
+			return nil, err
 		}
 		results[mode] = res.Latency
 		if mode == platform.ModeRMMAPPrefetch {
@@ -255,13 +272,12 @@ func runFig13d(w io.Writer, scale float64) error {
 		}
 	}
 	for _, mode := range platform.AllModes() {
-		t.row(mode, results[mode], pct(float64(results[mode]-rm), float64(results[mode])))
+		t.add(mode.String(), results[mode], pct(float64(results[mode]-rm), float64(results[mode])))
 	}
-	t.flush()
-	return nil
+	return Result{t}, nil
 }
 
-func runFig12(w io.Writer, scale float64) error {
+func runFig12(scale float64) (Result, error) {
 	// Fig 12 runs many requests per approach; it uses a throughput-sized
 	// serving configuration (smaller batch, 16-tree model) so the suite
 	// stays tractable — relative numbers are what the figure shows.
@@ -280,24 +296,22 @@ func runFig12(w io.Writer, scale float64) error {
 	}
 
 	// Upper row: saturated throughput (closed loop, many clients).
-	t := newTable(w, "approach", "peak tput (req/s)", "p50", "p90", "p99", "avg busy pods")
+	t := &Table{Header: []string{"approach", "peak tput (req/s)", "p50", "p90", "p99", "avg busy pods"}}
 	peak := map[platform.Mode]float64{}
 	for _, mode := range platform.AllModes() {
 		e, err := platform.NewEngine(workloads.MLPredict(cfg), mode, benchOptions(), benchCluster())
 		if err != nil {
-			return err
+			return nil, err
 		}
 		res := e.RunClosedLoop(clients, closedHorizon)
 		if res.Errors > 0 {
-			return fmt.Errorf("fig12 %v: %d errors", mode, res.Errors)
+			return nil, fmt.Errorf("fig12 %v: %d errors", mode, res.Errors)
 		}
 		peak[mode] = res.Throughput()
-		t.row(mode, fmt.Sprintf("%.1f", res.Throughput()),
+		t.add(mode.String(), fmt.Sprintf("%.1f", res.Throughput()),
 			res.Percentile(0.5), res.Percentile(0.9), res.Percentile(0.99),
 			fmt.Sprintf("%.1f/%d", res.AvgBusyPods(), res.TotalPods))
 	}
-	t.flush()
-	fmt.Fprintln(w)
 
 	// Lower row: a fixed request rate all approaches can sustain; compare
 	// the pods each needs.
@@ -305,29 +319,28 @@ func runFig12(w io.Writer, scale float64) error {
 	if rate < 1 {
 		rate = 1
 	}
-	t2 := newTable(w, "approach", fmt.Sprintf("tput @ %.1f req/s", rate), "activated pods", "avg busy", "p99")
+	t2 := &Table{Header: []string{"approach", fmt.Sprintf("tput @ %.1f req/s", rate), "activated pods", "avg busy", "p99"}}
 	for _, mode := range platform.AllModes() {
 		e, err := platform.NewEngine(workloads.MLPredict(cfg), mode, benchOptions(), benchCluster())
 		if err != nil {
-			return err
+			return nil, err
 		}
 		res := e.RunOpenLoop(rate, openDur)
 		if res.Errors > 0 {
-			return fmt.Errorf("fig12 open %v: %d errors", mode, res.Errors)
+			return nil, fmt.Errorf("fig12 open %v: %d errors", mode, res.Errors)
 		}
-		t2.row(mode, fmt.Sprintf("%.1f", res.Throughput()),
+		t2.add(mode.String(), fmt.Sprintf("%.1f", res.Throughput()),
 			fmt.Sprintf("%d/%d", res.ActivatedPods, res.TotalPods),
 			fmt.Sprintf("%.1f", res.AvgBusyPods()), res.Percentile(0.99))
 	}
-	t2.flush()
-	return nil
+	return Result{t, t2}, nil
 }
 
-func runFig16a(w io.Writer, scale float64) error {
+func runFig16a(scale float64) (Result, error) {
 	// One producer, one consumer, a list(int) payload; measure cluster
 	// peak memory. "optimal" generates and reads the list inside one
 	// function — no transfer at all.
-	t := newTable(w, "entries", "approach", "peak memory", "vs optimal")
+	t := &Table{Header: []string{"entries", "approach", "peak memory", "vs optimal"}}
 	for _, n := range []int{10000, 50000, 200000} {
 		n = scaleInt(n, scale)
 		var optimal int
@@ -363,17 +376,16 @@ func runFig16a(w io.Writer, scale float64) error {
 		for i, c := range cases {
 			peak, err := c.run()
 			if err != nil {
-				return fmt.Errorf("fig16a %s: %w", c.name, err)
+				return nil, fmt.Errorf("fig16a %s: %w", c.name, err)
 			}
 			if i == 0 {
 				optimal = peak
 			}
-			t.row(n, c.name, fmt.Sprintf("%.2f MB", float64(peak)/(1<<20)),
+			t.add(n, c.name, fmt.Sprintf("%.2f MB", float64(peak)/(1<<20)),
 				fmt.Sprintf("%+.1f%%", 100*(float64(peak)-float64(optimal))/float64(optimal)))
 		}
 	}
-	t.flush()
-	return nil
+	return Result{t}, nil
 }
 
 // listTransferWorkflow: produce a list(int) → consume. The consumer reads

@@ -1,7 +1,7 @@
 package obs
 
 // Canonical metric names. Every reporter in the repo (engine publishing,
-// BENCH_fig14.json breakdowns, rmmap trace artifacts) uses these.
+// rmmap trace artifacts) uses these.
 //
 // Naming scheme: rmmap_<subsystem>_<quantity>_<unit-or-total>. Counters end
 // in _total (or _bytes_total/_ns_total for summed quantities); histograms
