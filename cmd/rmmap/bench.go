@@ -24,7 +24,6 @@ func runBench(args []string, stdout, stderr io.Writer) int {
 		"with no experiment IDs, runs "+strings.Join(jsonDefault, " "))
 	cf := newClusterFlags(fs,
 		use{"workers", 0, "engine worker-pool size (0 = all cores, 1 = sequential); results are identical, only wall time changes"},
-		use{"ctrl-shards", 0, "consistent-hash coordinator shards (0/1 = single coordinator); results are identical at any setting"},
 		use{"topology", "", "cluster shape for the Fig-14 grid and fan-out ablation: a recipe name (" +
 			"see PLATFORMS.md) or a topology JSON file; default is the classic flat cluster"},
 	)
@@ -34,7 +33,6 @@ func runBench(args []string, stdout, stderr io.Writer) int {
 		return parseExit(err)
 	}
 	bench.Workers = cf.workers
-	bench.CtrlShards = cf.ctrlShards
 	// Resolve eagerly so a typo fails before any experiment runs.
 	shape, err := cf.builder()
 	if err != nil {

@@ -23,7 +23,6 @@ func runChaos(args []string, stdout, stderr io.Writer) int {
 		use{"topology", "", ""},
 		use{"pods", 16, "warm pods"},
 		use{"workers", 0, "engine worker-pool size (0 = all cores, 1 = sequential); the fault schedule and outcome are identical at any setting"},
-		use{"ctrl-shards", 0, "consistent-hash coordinator shards (0/1 = single coordinator); a plan's \"shard\" field can then target one shard's crash"},
 	)
 	seed := fs.Uint64("seed", 20260805, "fault-plan seed; same seed, same schedule")
 	prob := fs.Float64("prob", 0.1, "transient-fault probability on remote reads, doorbells and RPCs")
@@ -74,11 +73,10 @@ func runChaos(args []string, stdout, stderr io.Writer) int {
 	rec.MaxReexecutions = *maxReexecs
 	rec.DegradeAfter = *degradeAfter
 	opts := platform.Options{
-		Trace:      *trace,
-		Recovery:   rec,
-		Replicas:   cf.replicas,
-		Workers:    cf.workers,
-		CtrlShards: cf.ctrlShards,
+		Trace:    *trace,
+		Recovery: rec,
+		Replicas: cf.replicas,
+		Workers:  cf.workers,
 	}
 	if *noRecovery {
 		opts.Recovery = nil
@@ -168,13 +166,13 @@ func runChaos(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "liveness: replicated %d bytes, lease expiries=%d\n",
 			last.ReplicatedBytes, last.LeaseExpiries)
 	}
-	cp := engine.ControlPlane()
-	cs := cp.Stats()
-	fmt.Fprintf(stdout, "ctrl: shards=%d epoch=%d down=%v appends=%d journal=%dB snapshots=%d replays=%d crashes=%d recoveries=%d deferred=%d stale-routes=%d drift=%d/%d gossip-rounds=%d\n",
-		cp.NumShards(), engine.Coordinator().Epoch(), cp.Down(), cs.Appends, cs.JournalBytes, cs.Snapshots, cs.Replays,
-		cs.Crashes, cs.Recoveries, cs.Deferred, cs.StaleRoutes, cs.DriftDropped, cs.DriftAdopted, engine.GossipRounds())
+	coord := engine.Coordinator()
+	cs := coord.Stats()
+	fmt.Fprintf(stdout, "ctrl: epoch=%d down=%v appends=%d journal=%dB snapshots=%d replays=%d crashes=%d recoveries=%d deferred=%d drift=%d/%d gossip-rounds=%d\n",
+		coord.Epoch(), coord.Down(), cs.Appends, cs.JournalBytes, cs.Snapshots, cs.Replays,
+		cs.Crashes, cs.Recoveries, cs.Deferred, cs.DriftDropped, cs.DriftAdopted, engine.GossipRounds())
 	if *ctrlJournal != "" {
-		if err := cp.SaveFile(*ctrlJournal); err != nil {
+		if err := coord.SaveFile(*ctrlJournal); err != nil {
 			fmt.Fprintf(stderr, "ctrl-journal: %v\n", err)
 			return 1
 		}

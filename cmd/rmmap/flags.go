@@ -14,17 +14,16 @@ import (
 // share. Each subcommand registers only the ones it takes, with its own
 // default and, where the meaning differs, its own help text.
 type clusterFlags struct {
-	workflow   string
-	small      bool
-	mode       string
-	machines   int
-	pods       int
-	workers    int
-	ctrlShards int
-	topology   string
-	replicas   int
-	plan       string
-	requests   int
+	workflow string
+	small    bool
+	mode     string
+	machines int
+	pods     int
+	workers  int
+	topology string
+	replicas int
+	plan     string
+	requests int
 }
 
 // use names one cluster flag a subcommand takes: its default there (a
@@ -48,7 +47,7 @@ func newClusterFlags(fs *flag.FlagSet, uses ...use) *clusterFlags {
 	vars := map[string]any{
 		"workflow": &c.workflow, "small": &c.small, "mode": &c.mode,
 		"machines": &c.machines, "pods": &c.pods, "workers": &c.workers,
-		"ctrl-shards": &c.ctrlShards, "topology": &c.topology,
+		"topology": &c.topology,
 		"replicas": &c.replicas, "plan": &c.plan, "requests": &c.requests,
 	}
 	for _, u := range uses {

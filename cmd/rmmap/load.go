@@ -22,7 +22,6 @@ func runLoad(args []string, stdout, stderr io.Writer) int {
 		use{"machines", 4, "cluster size"},
 		use{"pods", 16, "warm pods"},
 		use{"workers", 0, "engine worker-pool size (0 = all cores); the report is identical at any setting"},
-		use{"ctrl-shards", 0, "consistent-hash coordinator shards (0/1 = single coordinator); the report is identical at any setting"},
 		use{"mode", "rmmap", "transfer mode: messaging, pocket, rdma, rmmap, prefetch"},
 		use{"topology", "", ""},
 		use{"plan", "", "JSON fault plan to run the load under"},
@@ -116,17 +115,16 @@ func runLoad(args []string, stdout, stderr io.Writer) int {
 	}
 
 	spec := load.SoakSpec{
-		Workflow:   cf.workflow,
-		Small:      cf.small,
-		Mode:       m,
-		Machines:   cf.machines,
-		Pods:       cf.pods,
-		Workers:    cf.workers,
-		CtrlShards: cf.ctrlShards,
-		Topology:   cf.topology,
-		Gen:        gen,
-		Events:     events,
-		Plan:       plan,
+		Workflow: cf.workflow,
+		Small:    cf.small,
+		Mode:     m,
+		Machines: cf.machines,
+		Pods:     cf.pods,
+		Workers:  cf.workers,
+		Topology: cf.topology,
+		Gen:      gen,
+		Events:   events,
+		Plan:     plan,
 		Admission: admit.Config{
 			QueueLimit:       *queueLimit,
 			MaxInflight:      *maxInflight,

@@ -3,7 +3,7 @@
 // "rmmap help" prints the subcommand table; "rmmap <sub> -h" lists one
 // subcommand's flags. Everything except net runs in deterministic virtual
 // time, so a command prints byte-identical output on every rerun and at
-// any -workers or -ctrl-shards setting.
+// any -workers setting.
 //
 //	rmmap bench -list
 //	rmmap bench [-scale 0.25] [fig11a fig14 ...]
@@ -55,9 +55,8 @@
 //	rmmap plan -verify ctrl.save
 //
 // plan prints a workflow's static address plan (§4.2). -verify replays a
-// coordinator save file of either format (DESIGN.md §13, §15) and checks
-// every journaled slot, across all shards, for overlaps; it exits 2 on a
-// violation, naming the slots and their shards.
+// coordinator save file (DESIGN.md §13) and checks every journaled slot
+// for overlaps; it exits 2 on a violation, naming both slots.
 //
 //	rmmap trace -list
 //	rmmap trace -workload FINRA -mode "rmmap(prefetch)" [-scale 0.25] \

@@ -73,74 +73,42 @@ func runPlan(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// runVerify audits a coordinator save file (either format): per-shard
-// summary, then the cross-shard disjointness check over the union of
-// every shard's journaled slots. Returns the process exit code: 0 clean,
-// 1 unreadable, 2 plan invalid.
+// runVerify audits a coordinator save file: a state summary, then the
+// disjointness check over the journaled slots. Returns the process exit
+// code: 0 clean, 1 unreadable, 2 plan invalid.
 func runVerify(path string, stdout, stderr io.Writer) int {
-	states, err := ctrl.LoadShardStatesFile(path)
+	st, replayed, err := ctrl.LoadStateFile(path)
 	if err != nil {
 		fmt.Fprintf(stderr, "load %s: %v\n", path, err)
 		return 1
 	}
-	var all []shardSlot
-	for _, ss := range states {
-		prefix := path
-		if len(states) > 1 {
-			prefix = fmt.Sprintf("%s shard %d", path, ss.Shard)
-		}
-		fmt.Fprintf(stdout, "%s: epoch %d, %d slots, %d live registrations, %d placements (%d journal records replayed)\n",
-			prefix, ss.State.Epoch, len(ss.State.Slots), len(ss.State.Regs), len(ss.State.Places), ss.Replayed)
-		for _, sl := range ss.State.Slots {
-			all = append(all, shardSlot{slot: sl, shard: ss.Shard, sharded: len(states) > 1})
-		}
-	}
-	if err := verifyShardSlots(all); err != nil {
+	fmt.Fprintf(stdout, "%s: epoch %d, %d slots, %d live registrations, %d placements (%d journal records replayed)\n",
+		path, st.Epoch, len(st.Slots), len(st.Regs), len(st.Places), replayed)
+	if err := verifySlots(st.Slots); err != nil {
 		fmt.Fprintf(stderr, "plan invalid: %v\n", err)
 		return 2
 	}
-	if len(states) > 1 {
-		fmt.Fprintf(stdout, "plan verified: %d journaled slots disjoint across %d shards\n", len(all), len(states))
-	} else {
-		fmt.Fprintf(stdout, "plan verified: %d journaled slots disjoint\n", len(all))
-	}
+	fmt.Fprintf(stdout, "plan verified: %d journaled slots disjoint\n", len(st.Slots))
 	return 0
 }
 
-// shardSlot is one journaled slot tagged with its owning shard; sharded
-// selects the "(shard N)" error rendering for multi-shard saves.
-type shardSlot struct {
-	slot    ctrl.PlanSlot
-	shard   int
-	sharded bool
-}
-
-func (s shardSlot) String() string {
-	if s.sharded {
-		return fmt.Sprintf("%s#%d (shard %d)", s.slot.Fn, s.slot.Inst, s.shard)
-	}
-	return fmt.Sprintf("%s#%d", s.slot.Fn, s.slot.Inst)
-}
-
-// verifyShardSlots applies Plan.Validate's rules to journaled slots: every
-// range must be well-formed and pairwise disjoint, across shards too —
-// shard journals partition the plan, never the address space, so an
-// overlap between two shards is as fatal as one within a shard. Errors
-// name both slots as fn#inst (and, on sharded saves, both shards).
-func verifyShardSlots(slots []shardSlot) error {
+// verifySlots applies Plan.Validate's rules to journaled slots: every
+// range must be well-formed and pairwise disjoint. Errors name both slots
+// as fn#inst.
+func verifySlots(slots []ctrl.PlanSlot) error {
 	sorted := slices.Clone(slots)
-	slices.SortFunc(sorted, func(a, b shardSlot) int {
-		return cmp.Or(cmp.Compare(a.slot.Start, b.slot.Start), cmp.Compare(a.slot.End, b.slot.End))
+	slices.SortFunc(sorted, func(a, b ctrl.PlanSlot) int {
+		return cmp.Or(cmp.Compare(a.Start, b.Start), cmp.Compare(a.End, b.End))
 	})
 	for i, s := range sorted {
-		if s.slot.End <= s.slot.Start {
-			return fmt.Errorf("slot %s: empty or inverted range [%#x,%#x)", s, s.slot.Start, s.slot.End)
+		if s.End <= s.Start {
+			return fmt.Errorf("slot %s#%d: empty or inverted range [%#x,%#x)", s.Fn, s.Inst, s.Start, s.End)
 		}
 		if i > 0 {
 			prev := sorted[i-1]
-			if s.slot.Start < prev.slot.End {
-				return fmt.Errorf("slot %s [%#x,%#x) overlaps %s [%#x,%#x)",
-					s, s.slot.Start, s.slot.End, prev, prev.slot.Start, prev.slot.End)
+			if s.Start < prev.End {
+				return fmt.Errorf("slot %s#%d [%#x,%#x) overlaps %s#%d [%#x,%#x)",
+					s.Fn, s.Inst, s.Start, s.End, prev.Fn, prev.Inst, prev.Start, prev.End)
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"strings"
@@ -40,9 +41,9 @@ func TestVerifySlotsRoundTrip(t *testing.T) {
 // TestVerifySlotsRejectsOverlap: the audit must name the offending slot
 // and refuse overlapping or malformed ranges.
 func TestVerifySlotsRejectsOverlap(t *testing.T) {
-	err := verifyShardSlots([]shardSlot{
-		{slot: ctrl.PlanSlot{Fn: "produce", Inst: 0, Start: 0x10000, End: 0x20000}},
-		{slot: ctrl.PlanSlot{Fn: "transform", Inst: 1, Start: 0x18000, End: 0x28000}},
+	err := verifySlots([]ctrl.PlanSlot{
+		{Fn: "produce", Inst: 0, Start: 0x10000, End: 0x20000},
+		{Fn: "transform", Inst: 1, Start: 0x18000, End: 0x28000},
 	})
 	if err == nil {
 		t.Fatal("overlapping slots passed verification")
@@ -50,77 +51,86 @@ func TestVerifySlotsRejectsOverlap(t *testing.T) {
 	if !strings.Contains(err.Error(), "transform#1") || !strings.Contains(err.Error(), "produce#0") {
 		t.Fatalf("error does not name both offending slots: %v", err)
 	}
-	if err := verifyShardSlots([]shardSlot{{slot: ctrl.PlanSlot{Fn: "x", Inst: 0, Start: 8, End: 8}}}); err == nil {
+	if err := verifySlots([]ctrl.PlanSlot{{Fn: "x", Inst: 0, Start: 8, End: 8}}); err == nil {
 		t.Fatal("empty range passed verification")
 	}
 }
 
-// TestRunVerifyCrossShardOverlap builds two shard journals whose slots
-// overlap ACROSS shards (each shard is internally disjoint), frames them
-// into the sharded save container, and runs the full -verify path: it
-// must exit 2 and name both shards in the error.
-func TestRunVerifyCrossShardOverlap(t *testing.T) {
-	cm := simtime.DefaultCostModel()
-	c0 := ctrl.New(cm)
-	c1 := ctrl.New(cm)
-	for i, c := range []*ctrl.Coordinator{c0, c1} {
-		if err := c.Start(); err != nil {
-			t.Fatal(err)
-		}
-		if err := c.StampShard(i, 2); err != nil {
+// journalSlots journals slots on a fresh coordinator and returns its
+// RMCSAVE1 durable image.
+func journalSlots(t *testing.T, slots ...ctrl.PlanSlot) []byte {
+	t.Helper()
+	c := ctrl.New(simtime.DefaultCostModel())
+	if err := c.Start(); err != nil {
+		t.Fatal(err)
+	}
+	for _, sl := range slots {
+		if err := c.IssueSlot(sl.Fn, sl.Inst, sl.Start, sl.End); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Shard 0: [0x10000,0x20000). Shard 1: [0x18000,0x28000) — the overlap
-	// only exists in the cross-shard union.
-	if err := c0.IssueSlot("produce", 0, 0x10000, 0x20000); err != nil {
-		t.Fatal(err)
-	}
-	if err := c1.IssueSlot("transform", 1, 0x18000, 0x28000); err != nil {
-		t.Fatal(err)
-	}
+	return c.Save()
+}
+
+func writeSave(t *testing.T, blob []byte) string {
+	t.Helper()
 	path := filepath.Join(t.TempDir(), "ctrl.save")
-	blob := ctrl.EncodeShardedSave([][]byte{c0.Save(), c1.Save()})
 	if err := os.WriteFile(path, blob, 0o644); err != nil {
 		t.Fatal(err)
 	}
+	return path
+}
+
+// TestRunVerifyOverlap runs the full -verify path on a save file whose
+// journal holds two overlapping slots: it must exit 2 and name both. The
+// disjoint variant exits 0.
+func TestRunVerifyOverlap(t *testing.T) {
+	save := func(transformStart uint64) string {
+		return writeSave(t, journalSlots(t,
+			ctrl.PlanSlot{Fn: "produce", Inst: 0, Start: 0x10000, End: 0x20000},
+			ctrl.PlanSlot{Fn: "transform", Inst: 1, Start: transformStart, End: 0x28000}))
+	}
 
 	var stdout, stderr strings.Builder
-	code := runVerify(path, &stdout, &stderr)
-	if code != 2 {
-		t.Fatalf("runVerify exit code = %d, want 2\nstdout:\n%s\nstderr:\n%s", code, stdout.String(), stderr.String())
+	if code := runVerify(save(0x18000), &stdout, &stderr); code != 2 {
+		t.Fatalf("overlap: exit code = %d, want 2\nstdout:\n%s\nstderr:\n%s", code, stdout.String(), stderr.String())
 	}
-	msg := stderr.String()
-	for _, want := range []string{"produce#0", "shard 0", "transform#1", "shard 1", "overlaps"} {
-		if !strings.Contains(msg, want) {
-			t.Fatalf("verify error missing %q:\n%s", want, msg)
+	for _, want := range []string{"produce#0", "transform#1", "overlaps"} {
+		if !strings.Contains(stderr.String(), want) {
+			t.Fatalf("verify error missing %q:\n%s", want, stderr.String())
 		}
 	}
-	if !strings.Contains(stdout.String(), "shard 1: epoch 1") {
-		t.Fatalf("per-shard summary missing:\n%s", stdout.String())
-	}
 
-	// The same layout with the overlap removed (shard 0 rebuilt with a
-	// disjoint range) must verify cleanly, with a cross-shard summary line.
-	c2 := ctrl.New(cm)
-	if err := c2.Start(); err != nil {
-		t.Fatal(err)
-	}
-	if err := c2.StampShard(0, 2); err != nil {
-		t.Fatal(err)
-	}
-	if err := c2.IssueSlot("produce", 0, 0x10000, 0x18000); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, ctrl.EncodeShardedSave([][]byte{c2.Save(), c1.Save()}), 0o644); err != nil {
-		t.Fatal(err)
-	}
 	stdout.Reset()
 	stderr.Reset()
-	if code := runVerify(path, &stdout, &stderr); code != 0 {
-		t.Fatalf("disjoint sharded save failed verification (code %d):\n%s", code, stderr.String())
+	if code := runVerify(save(0x20000), &stdout, &stderr); code != 0 {
+		t.Fatalf("disjoint save failed verification (code %d):\n%s", code, stderr.String())
 	}
-	if !strings.Contains(stdout.String(), "across 2 shards") {
-		t.Fatalf("clean sharded verify missing cross-shard summary:\n%s", stdout.String())
+	if !strings.Contains(stdout.String(), "plan verified: 2 journaled slots disjoint\n") {
+		t.Fatalf("clean verify summary missing:\n%s", stdout.String())
+	}
+}
+
+// TestRunVerifyCrossShardOverlap: the retired multi-shard container
+// ("RMCSHRD" then '1' | u32 count | count × (u32 len | RMCSAVE1 blob)) is
+// a corrupt save, exit 1 — even one whose two well-formed journals hold
+// slots that overlap only across them. -verify reads one journal; it must
+// neither audit the first nested image alone nor pass the file as clean.
+func TestRunVerifyCrossShardOverlap(t *testing.T) {
+	saves := [][]byte{
+		journalSlots(t, ctrl.PlanSlot{Fn: "produce", Inst: 0, Start: 0x10000, End: 0x20000}),
+		journalSlots(t, ctrl.PlanSlot{Fn: "transform", Inst: 1, Start: 0x18000, End: 0x28000}),
+	}
+	blob := binary.LittleEndian.AppendUint32([]byte("RMCSHRD\x31"), uint32(len(saves)))
+	for _, sv := range saves {
+		blob = binary.LittleEndian.AppendUint32(blob, uint32(len(sv)))
+		blob = append(blob, sv...)
+	}
+	var stdout, stderr strings.Builder
+	if code := runVerify(writeSave(t, blob), &stdout, &stderr); code != 1 || !strings.Contains(stderr.String(), "corrupt") {
+		t.Fatalf("multi-shard save: exit %d, stderr %q; want 1 and a corrupt-save error", code, stderr.String())
+	}
+	if strings.Contains(stdout.String(), "plan verified") {
+		t.Fatalf("multi-shard save reported as verified:\n%s", stdout.String())
 	}
 }

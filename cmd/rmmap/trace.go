@@ -34,7 +34,6 @@ func runTrace(args []string, stdout, stderr io.Writer) int {
 		use{"requests", 1, "sequential requests to run and aggregate"},
 		use{"machines", 10, "cluster machines"},
 		use{"pods", 80, "cluster pods"},
-		use{"ctrl-shards", 0, "consistent-hash coordinator shards (0/1 = single coordinator); artifacts are identical at any setting"},
 		use{"topology", "", ""},
 	)}
 	fs.StringVar(&cfg.workload, "workload", "FINRA", "registered workload name (see -list)")
@@ -81,7 +80,7 @@ func traceRun(cfg traceConfig, out io.Writer) error {
 	}
 
 	reg := obs.NewRegistry()
-	opts := platform.Options{Trace: true, Obs: reg, CtrlShards: cfg.ctrlShards}
+	opts := platform.Options{Trace: true, Obs: reg}
 	clCfg := platform.ClusterConfig{Machines: cfg.machines, Pods: cfg.pods}
 	if cfg.topology != "" {
 		b, err := cfg.builder()

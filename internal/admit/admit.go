@@ -67,10 +67,7 @@ type Config struct {
 	MaxInflight int
 	// RegWatermark sheds arrivals (ReasonBackpressure) while the
 	// coordinator tracks at least this many live registrations — the
-	// metadata-pressure watermark. 0 disables the check. On a sharded
-	// control plane the caller passes BackpressureLive of the per-shard
-	// counts, so one hot shard trips the watermark at its fair share
-	// rather than hiding behind idle shards.
+	// metadata-pressure watermark. 0 disables the check.
 	RegWatermark int
 	// Quota is the default per-tenant token bucket (zero = unlimited).
 	Quota Quota
@@ -340,27 +337,6 @@ func (c *Controller) TakeTransitions() []Transition {
 	out := c.trans
 	c.trans = nil
 	return out
-}
-
-// BackpressureLive folds per-shard live-registration counts into the
-// single watermark input Submit expects: the larger of the true total and
-// the hottest shard extrapolated across all shards. On a balanced plane
-// (and always with one shard) it equals the plain sum; a skewed plane
-// trips the watermark as soon as ANY shard carries a full per-shard share
-// of it — per-shard backpressure, so one overloaded journal sheds load
-// before it becomes the whole plane's problem.
-func BackpressureLive(shardLive []int) int {
-	total, hottest := 0, 0
-	for _, n := range shardLive {
-		total += n
-		if n > hottest {
-			hottest = n
-		}
-	}
-	if scaled := hottest * len(shardLive); scaled > total {
-		return scaled
-	}
-	return total
 }
 
 // Submit decides one arrival. The check order is breaker (cheapest — a

@@ -27,16 +27,9 @@ type Experiment struct {
 // at any setting — workers change wall-clock time only (DESIGN.md §10).
 var Workers = 0
 
-// CtrlShards is the control-plane shard count every experiment's engine
-// runs with (Options.CtrlShards): 0/1 is the single journaled coordinator;
-// rmmap bench -ctrl-shards overrides it. Like Workers, results are
-// byte-identical at any setting (DESIGN.md §15) — only the rmmap_ctrl_*
-// journal counters reflect the per-shard streams.
-var CtrlShards = 0
-
 // benchOptions returns the Options experiments construct engines with.
 func benchOptions() platform.Options {
-	return platform.Options{Workers: Workers, CtrlShards: CtrlShards}
+	return platform.Options{Workers: Workers}
 }
 
 var registry []Experiment

@@ -20,7 +20,7 @@ func TestRegistryComplete(t *testing.T) {
 		"fig13c", "fig13d", "fig14", "fig15", "fig16a", "fig16b",
 		"abl-prefetch", "abl-batch", "abl-conn", "abl-scope",
 		"abl-fork", "abl-forward", "abl-adaptive", "abl-compress", "abl-arrow",
-		"abl-fanout", "abl-failover", "abl-topology", "abl-ctrl",
+		"abl-fanout", "abl-failover", "abl-topology",
 	}
 	for _, id := range want {
 		e, ok := Find(id)

@@ -319,103 +319,6 @@ func TestDifferentialDeterminismChaosPlans(t *testing.T) {
 	}
 }
 
-// runShardedCtrlCell runs FINRA-small on a 4-machine chaos cluster with a
-// CtrlShards-sharded control plane, returning the serialized artifacts
-// plus the run latency (used to derive the chaos leg's outage window).
-func runShardedCtrlCell(t *testing.T, shards, workers int, plan faults.Plan) (runArtifacts, simtime.Duration) {
-	t.Helper()
-	rec := platform.DefaultRecoveryPolicy()
-	reg := obs.NewRegistry()
-	opts := platform.Options{
-		Trace: true, Obs: reg, Recovery: rec,
-		Workers: workers, CtrlShards: shards,
-	}
-	cluster := platform.NewChaosCluster(4, simtime.DefaultCostModel(), plan, rec.Retry)
-	e, err := platform.NewEngineOn(cluster, workloads.FINRA(workloads.SmallFINRA()),
-		platform.ModeRMMAPPrefetch, opts, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var res platform.RunResult
-	e.Submit(func(out platform.RunResult) { res = out })
-	e.Cluster.Sim.Run()
-	if res.Err != nil {
-		t.Fatalf("shards=%d workers=%d: %v", shards, workers, res.Err)
-	}
-	var metrics bytes.Buffer
-	if err := reg.Snapshot().WriteJSON(&metrics); err != nil {
-		t.Fatal(err)
-	}
-	cs := e.ControlPlane().Stats()
-	summary, err := json.Marshal(map[string]any{
-		"latency_ns":    int64(res.Latency),
-		"output":        fmt.Sprint(res.Output),
-		"ctrl_appends":  cs.Appends,
-		"ctrl_replays":  cs.Replays,
-		"ctrl_deferred": cs.Deferred,
-		"ctrl_crashes":  cs.Crashes,
-		"ctrl_stale":    cs.StaleRoutes,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return runArtifacts{
-		spans:   spanJSONL(t, res.Trace),
-		metrics: metrics.Bytes(),
-		row:     summary,
-	}, res.Latency
-}
-
-// TestDifferentialDeterminismShardedCtrl is the sharded-control-plane leg
-// of the battery (DESIGN.md §15). Clean legs: FINRA-small at shard counts
-// {1, 4, 16}, each byte-diffed across Workers {1, 8} — and the span
-// stream must additionally be byte-identical ACROSS shard counts, since
-// sharding may only re-partition journals, never move a data-plane event.
-// Chaos leg: a shard-targeted coordinator crash (shard 2 of 4) spanning
-// the middle third of the run, byte-diffed across worker counts.
-func TestDifferentialDeterminismShardedCtrl(t *testing.T) {
-	clean := faults.Plan{Seed: 20260805}
-	var refSpans []byte
-	var refLatency simtime.Duration
-	for _, shards := range []int{1, 4, 16} {
-		scenario := fmt.Sprintf("sharded-ctrl/shards=%d", shards)
-		ref, lat := runShardedCtrlCell(t, shards, 1, clean)
-		if len(ref.spans) == 0 {
-			t.Fatalf("%s: reference run produced no spans", scenario)
-		}
-		for _, w := range []int{8} {
-			got, _ := runShardedCtrlCell(t, shards, w, clean)
-			diffArtifacts(t, scenario, ref, got, w)
-		}
-		if shards == 1 {
-			refSpans, refLatency = ref.spans, lat
-			continue
-		}
-		// Cross-shard-count invariance: identical spans and latency. (The
-		// metrics and ctrl summary legitimately differ — shard stamps and
-		// per-shard snapshot schedules change the journal counters.)
-		if !bytes.Equal(ref.spans, refSpans) {
-			t.Errorf("%s: span JSONL differs from the single-shard run", scenario)
-		}
-		if lat != refLatency {
-			t.Errorf("%s: latency %v differs from single-shard %v", scenario, lat, refLatency)
-		}
-	}
-
-	// Chaos leg: crash shard 2 of 4 for the middle third of the run.
-	target := 2
-	chaos := faults.Plan{Seed: 20260805, CoordCrashes: []faults.CoordCrash{{
-		At:        simtime.Time(0).Add(refLatency / 3),
-		RecoverAt: simtime.Time(0).Add(2 * refLatency / 3),
-		Shard:     &target,
-	}}}
-	ref, _ := runShardedCtrlCell(t, 4, 1, chaos)
-	for _, w := range []int{8} {
-		got, _ := runShardedCtrlCell(t, 4, w, chaos)
-		diffArtifacts(t, "sharded-ctrl/shard-crash", ref, got, w)
-	}
-}
-
 // TestDifferentialDeterminismScaleReport is the BENCH_scale.json leg of the
 // suite: an open-loop multi-tenant soak (bursty arrivals, deadlines,
 // admission control) under each example chaos plan must serialize to

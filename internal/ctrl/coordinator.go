@@ -40,10 +40,6 @@ type Stats struct {
 	Deferred      int   // operations backlogged while down (NoteDeferred)
 	DriftDropped  int   // directory entries dropped by reconciliation
 	DriftAdopted  int   // kernel registrations adopted by reconciliation
-	// StaleRoutes counts route tickets invalidated by a shard recovery or
-	// ring membership change between issue and use (Sharded only; always 0
-	// on a single Coordinator's own stats).
-	StaleRoutes int
 }
 
 // Sub returns s minus o field-wise — the per-run delta the engine
@@ -61,7 +57,6 @@ func (s Stats) Sub(o Stats) Stats {
 		Deferred:      s.Deferred - o.Deferred,
 		DriftDropped:  s.DriftDropped - o.DriftDropped,
 		DriftAdopted:  s.DriftAdopted - o.DriftAdopted,
-		StaleRoutes:   s.StaleRoutes - o.StaleRoutes,
 	}
 }
 
@@ -139,11 +134,6 @@ func (c *Coordinator) Epoch() uint64 { return c.epoch }
 // Live returns the number of live registration-directory entries.
 func (c *Coordinator) Live() int { return len(c.state.Regs) }
 
-// PlanSlots returns the issued address-plan slots in issuance order.
-func (c *Coordinator) PlanSlots() []PlanSlot {
-	return append([]PlanSlot(nil), c.state.Slots...)
-}
-
 // Lookup returns the directory entry for ref, or nil.
 func (c *Coordinator) Lookup(ref RegRef) *Registration { return c.state.Regs[ref] }
 
@@ -187,14 +177,6 @@ func (c *Coordinator) Start() error {
 	c.epoch = 1
 	c.stats.EpochBumps++
 	return c.append(Record{Kind: RecEpoch, Epoch: 1})
-}
-
-// StampShard journals this coordinator's shard identity (index and total
-// shard count). The sharded control plane stamps each shard at Start and
-// again after every recovery, so the journal tail is always
-// self-describing; a single-shard plane never calls it.
-func (c *Coordinator) StampShard(shard, of int) error {
-	return c.append(Record{Kind: RecShard, Shard: shard, Shards: of})
 }
 
 // IssueSlot journals one issued address-plan slot.

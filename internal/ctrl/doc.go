@@ -13,19 +13,12 @@
 // commands from stale epochs, so a zombie pre-crash coordinator can
 // never reclaim live memory.
 //
-// Sharded scales the metadata path (DESIGN.md §15): N complete
-// coordinators behind a consistent-hash Ring (64 vnodes per shard,
-// generation-counted membership). Each shard owns its journal, snapshot
-// trigger, epoch, and deferred-op backlog, so reclamation fencing and
-// crash recovery are shard-local; Route* methods return generation-
-// fenced Tickets that go ErrStaleRoute across membership changes or the
-// target shard's crash. A single-shard plane saves the exact legacy
-// durable image; multi-shard saves frame per-shard blobs in the
-// RMCSHRD1 container, each journal stamped with its shard position.
-// Each shard journals only the records its keys route to, and per-shard
-// journals stay below the snapshot trigger, eliminating the single
-// coordinator's repeated O(live-registrations) compaction re-encodes
-// (the abl-ctrl experiment prices both on each shard's storage meter).
+// The platform runs exactly one Coordinator (DESIGN.md §13): every
+// control-plane operation is journaled on it in the canonical event
+// order. Sharded and Ring are not part of that design. They are the perf
+// ledger's fixture for ctrl.churn_ns_s1/_s16 (benchmark/layerwalk.go),
+// which prices splitting the directory across N journals, and a
+// benchmark change that drops ctrl.churn_ns_s16 deletes them.
 //
 // The package is a leaf: it imports only simtime, speaks uint64
 // ids/keys and int machine indices, and is sim-thread-only (no internal

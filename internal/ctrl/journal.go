@@ -45,13 +45,6 @@ const (
 	RecRelease
 	// RecReclaim notes a reclamation order (deregister_mem) issued.
 	RecReclaim
-	// RecShard stamps a journal with the identity of the shard that owns
-	// it (shard index + total shard count). Written by the sharded control
-	// plane at Start and re-stamped after every per-shard recovery, so a
-	// shard's journal stream is self-describing even when audited outside
-	// its save container. Single-shard (default) journals never carry it —
-	// their byte stream is identical to the pre-sharding format.
-	RecShard
 )
 
 func (k RecordKind) String() string {
@@ -72,8 +65,6 @@ func (k RecordKind) String() string {
 		return "release"
 	case RecReclaim:
 		return "reclaim"
-	case RecShard:
-		return "shard"
 	default:
 		return fmt.Sprintf("kind(%d)", uint8(k))
 	}
@@ -108,8 +99,6 @@ type Record struct {
 	Machine int      // RecPlace, RecRegister, RecReclaim
 	Ref     RegRef   // RecRegister..RecReclaim
 	Allowed []uint64 // RecRegister, RecACL
-	Shard   int      // RecShard: owning shard index
-	Shards  int      // RecShard: total shard count
 }
 
 // CorruptError reports journal or snapshot corruption with the byte
@@ -182,12 +171,6 @@ func encodeBody(r Record) ([]byte, error) {
 		b = appendU64(b, r.Ref.ID)
 		b = appendU64(b, r.Ref.Key)
 		b = appendU32(b, uint32(r.Machine))
-	case RecShard:
-		if r.Shard < 0 || r.Shards <= 0 || r.Shard >= r.Shards {
-			return nil, fmt.Errorf("ctrl: shard stamp %d/%d out of range", r.Shard, r.Shards)
-		}
-		b = appendU32(b, uint32(r.Shard))
-		b = appendU32(b, uint32(r.Shards))
 	default:
 		return nil, fmt.Errorf("ctrl: unknown record kind %d", r.Kind)
 	}
@@ -311,12 +294,6 @@ func decodeBody(body []byte) (Record, error) {
 		rec.Ref.ID = r.u64()
 		rec.Ref.Key = r.u64()
 		rec.Machine = int(int32(r.u32()))
-	case RecShard:
-		rec.Shard = int(int32(r.u32()))
-		rec.Shards = int(int32(r.u32()))
-		if rec.Shard < 0 || rec.Shards <= 0 || rec.Shard >= rec.Shards {
-			return Record{}, fmt.Errorf("shard stamp %d/%d out of range", rec.Shard, rec.Shards)
-		}
 	default:
 		return Record{}, fmt.Errorf("unknown record kind %d", uint8(rec.Kind))
 	}

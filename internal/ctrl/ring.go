@@ -2,29 +2,24 @@ package ctrl
 
 import "sort"
 
-// Consistent-hash ring (DESIGN.md §15). The sharded control plane routes
-// every registration key, plan slot, and placement to exactly one shard;
-// the ring is the routing function. Each member contributes vnodes points
-// hashed onto a 64-bit circle, and a key routes to the owner of the first
-// point at or clockwise of the key's hash. Membership changes move only
-// the keys owned by the added/removed member's points — the ~K/N movement
-// bound the ring_property test pins.
+// Consistent-hash ring: Sharded's routing function (see sharded.go for
+// why it exists). Each member contributes vnodes points hashed onto a
+// 64-bit circle, and a key routes to the owner of the first point at or
+// clockwise of the key's hash. Adding a member moves only the keys its
+// points capture — the ~K/N movement bound the ring_property test pins.
 //
 // The ring is deterministic: point positions are a pure function of
 // (shard, vnode index) under the SplitMix64 finalizer, and routing is a
-// pure function of the key, so every engine worker count and every replay
-// sees identical shard assignments.
+// pure function of the key.
 
 // DefaultVnodes is the virtual-node count per shard — enough that the
-// per-shard load imbalance stays small at the shard counts the control
-// plane uses (≤ 64).
+// per-shard load imbalance stays small at the ledger's 16 shards.
 const DefaultVnodes = 64
 
 // Ring is a consistent-hash ring over integer shard IDs. It is
 // sim-thread-only like the Coordinator: no internal locking.
 type Ring struct {
 	vnodes int
-	gen    uint64 // bumped on every membership change (route-ticket fencing)
 	points []ringPoint
 }
 
@@ -56,20 +51,12 @@ func NewRing(vnodes int) *Ring {
 	return &Ring{vnodes: vnodes}
 }
 
-// Has reports whether shard is a ring member.
-func (r *Ring) Has(shard int) bool {
-	for _, p := range r.points {
-		if p.shard == shard {
-			return true
-		}
-	}
-	return false
-}
-
 // Add inserts a shard's points; adding a member twice is a no-op.
 func (r *Ring) Add(shard int) {
-	if r.Has(shard) {
-		return
+	for _, p := range r.points {
+		if p.shard == shard {
+			return
+		}
 	}
 	for v := 0; v < r.vnodes; v++ {
 		r.points = append(r.points, ringPoint{h: pointHash(shard, v), shard: shard})
@@ -80,44 +67,7 @@ func (r *Ring) Add(shard int) {
 		}
 		return r.points[i].shard < r.points[j].shard // deterministic tie-break
 	})
-	r.gen++
 }
-
-// Remove deletes a shard's points; removing a non-member is a no-op.
-func (r *Ring) Remove(shard int) {
-	if !r.Has(shard) {
-		return
-	}
-	kept := r.points[:0]
-	for _, p := range r.points {
-		if p.shard != shard {
-			kept = append(kept, p)
-		}
-	}
-	r.points = kept
-	r.gen++
-}
-
-// Members returns the live shard IDs in ascending order.
-func (r *Ring) Members() []int {
-	seen := map[int]bool{}
-	var out []int
-	for _, p := range r.points {
-		if !seen[p.shard] {
-			seen[p.shard] = true
-			out = append(out, p.shard)
-		}
-	}
-	sort.Ints(out)
-	return out
-}
-
-// Size returns the live member count.
-func (r *Ring) Size() int { return len(r.Members()) }
-
-// Gen returns the membership generation, bumped on every Add/Remove. A
-// route ticket minted under one generation is stale under a later one.
-func (r *Ring) Gen() uint64 { return r.gen }
 
 // Route maps a key to its owning shard: the first point at or clockwise
 // of mix64(key). ok is false only on an empty ring.

@@ -8,20 +8,53 @@ import (
 	"rmmap/internal/simtime"
 )
 
-func newSharded(n int) *Sharded {
-	s := NewSharded(simtime.DefaultCostModel(), n)
+// The ledger fixture routes every Register/Release to exactly one shard,
+// and Live/Stats sum across shards.
+func TestShardedRouting(t *testing.T) {
+	s := NewSharded(simtime.DefaultCostModel(), 16)
 	if err := s.Start(); err != nil {
-		panic(err)
+		t.Fatal(err)
 	}
-	return s
+	refs := make([]RegRef, 256)
+	for i := range refs {
+		refs[i] = RegRef{ID: uint64(i), Key: mix64(uint64(i) * 2654435761)}
+		if err := s.Register(refs[i], 0, nil); err != nil {
+			t.Fatal(err)
+		}
+		owners := 0
+		for _, sh := range s.shards {
+			if sh.Lookup(refs[i]) != nil {
+				owners++
+			}
+		}
+		if owners != 1 || s.owner(refs[i]).Lookup(refs[i]) == nil {
+			t.Fatalf("ref %v held by %d shards, want its owner only", refs[i], owners)
+		}
+	}
+	if s.shards[0].Live() == len(refs) {
+		t.Fatal("all 256 keys routed to shard 0: the ring is not spreading")
+	}
+	if s.Live() != len(refs) {
+		t.Fatalf("Live() = %d, want %d", s.Live(), len(refs))
+	}
+	for _, ref := range refs[:100] {
+		if _, last, err := s.Release(ref); err != nil || !last {
+			t.Fatalf("Release(%v) = last %v, err %v", ref, last, err)
+		}
+	}
+	if s.Live() != len(refs)-100 {
+		t.Fatalf("Live() = %d after 100 releases, want %d", s.Live(), len(refs)-100)
+	}
+	// 16 epoch records + 256 registers + 100 releases.
+	if st := s.Stats(); st.Appends != 16+256+100 || st.EpochBumps != 16 {
+		t.Fatalf("summed stats: appends %d epoch bumps %d, want %d and 16", st.Appends, st.EpochBumps, 16+256+100)
+	}
 }
 
-// A single-shard plane must be byte-identical to the bare Coordinator:
-// same journal stream, same save blob, no shard-stamp records.
+// One shard is the bare Coordinator: the s1 leg of the ledger pair.
 func TestShardedSingleMatchesCoordinator(t *testing.T) {
 	cm := simtime.DefaultCostModel()
-	s := NewSharded(cm, 1)
-	c := New(cm)
+	s, c := NewSharded(cm, 1), New(cm)
 	if err := s.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -37,291 +70,222 @@ func TestShardedSingleMatchesCoordinator(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if !bytes.Equal(s.Save(), c.Save()) {
-		t.Fatal("single-shard Sharded save differs from bare Coordinator save")
-	}
-	if s.Stats() != c.Stats() {
-		t.Fatalf("single-shard stats diverged: %+v vs %+v", s.Stats(), c.Stats())
+	if s.Stats() != c.Stats() || s.Live() != c.Live() {
+		t.Fatalf("single-shard plane diverged: %+v vs %+v", s.Stats(), c.Stats())
 	}
 }
 
-// Routing must be deterministic and shard-valid; every routed op must land
-// on the shard the router names (Lookup through the plane finds it).
-func TestShardedRouting(t *testing.T) {
-	s := newSharded(4)
-	total := 0
-	perShard := make([]int, 4)
-	for i := 0; i < 256; i++ {
-		ref := RegRef{ID: uint64(i), Key: mix64(uint64(i) * 2654435761)}
-		shard := s.RouteRef(ref)
-		if shard != s.RouteRef(ref) {
-			t.Fatal("routing is not deterministic")
-		}
-		if shard < 0 || shard >= s.NumShards() {
-			t.Fatalf("route out of range: %d", shard)
-		}
-		if err := s.Register(ref, 0, nil); err != nil {
-			t.Fatal(err)
-		}
-		if s.Shard(shard).Lookup(ref) == nil {
-			t.Fatalf("ref %v not on its routed shard %d", ref, shard)
-		}
-		for other := 0; other < s.NumShards(); other++ {
-			if other != shard && s.Shard(other).Lookup(ref) != nil {
-				t.Fatalf("ref %v leaked onto shard %d (owner %d)", ref, other, shard)
-			}
-		}
-		perShard[shard]++
-		total++
-	}
-	if s.Live() != total {
-		t.Fatalf("Live() = %d, want %d", s.Live(), total)
-	}
-	for i, n := range s.ShardLive() {
-		if n != perShard[i] {
-			t.Fatalf("ShardLive[%d] = %d, want %d", i, n, perShard[i])
-		}
-	}
-	if perShard[0] == total {
-		t.Fatal("all 256 keys routed to shard 0 — ring is not spreading")
-	}
-}
-
-// Crashing one shard fences only that shard: the others keep serving,
-// keep their epochs, and the plane reports Down (sheds new submissions)
-// while per-shard state stays independent.
-func TestShardedSingleShardCrash(t *testing.T) {
-	s := newSharded(4)
-	const victim = 2
-	s.Crash(victim)
-	if !s.Down() {
-		t.Fatal("plane with a crashed shard must report Down")
-	}
-	for i := 0; i < 4; i++ {
-		wantDown := i == victim
-		if s.ShardDown(i) != wantDown {
-			t.Fatalf("ShardDown(%d) = %v, want %v", i, s.ShardDown(i), wantDown)
-		}
-		wantEpoch := uint64(1)
-		if i == victim {
-			wantEpoch = 0 // volatile view died with the process
-		}
-		if got := s.ShardEpoch(i); got != wantEpoch {
-			t.Fatalf("ShardEpoch(%d) = %d, want %d", i, got, wantEpoch)
-		}
-	}
-	// Surviving shards still serve.
-	ref := RegRef{ID: 7, Key: 7}
-	for k := uint64(0); s.RouteRef(ref) == victim; k++ {
-		ref.Key = mix64(k)
-	}
-	if err := s.Register(ref, 0, nil); err != nil {
-		t.Fatalf("surviving shard refused an op: %v", err)
-	}
-	if _, err := s.RecoverShard(victim); err != nil {
+func newSharded(t *testing.T, n int) *Sharded {
+	t.Helper()
+	s := NewSharded(simtime.DefaultCostModel(), n)
+	if err := s.Start(); err != nil {
 		t.Fatal(err)
 	}
-	if s.Down() {
-		t.Fatal("plane still Down after the only crashed shard recovered")
-	}
-	if got := s.ShardEpoch(victim); got != 2 {
-		t.Fatalf("recovered shard epoch = %d, want 2", got)
-	}
-	for i := 0; i < 4; i++ {
-		if i != victim && s.ShardEpoch(i) != 1 {
-			t.Fatalf("bystander shard %d epoch = %d, want 1", i, s.ShardEpoch(i))
+	return s
+}
+
+// registerN registers n refs through the fixture and returns them.
+func registerN(t *testing.T, s *Sharded, n int, salt uint64) []RegRef {
+	t.Helper()
+	refs := make([]RegRef, n)
+	for i := range refs {
+		refs[i] = RegRef{ID: uint64(i), Key: mix64(uint64(i) ^ salt)}
+		if err := s.Register(refs[i], i%3, nil); err != nil {
+			t.Fatal(err)
 		}
 	}
-	st := s.Stats()
-	if st.Crashes != 1 || st.Recoveries != 1 {
+	return refs
+}
+
+// Each shard is a whole journaled Coordinator: crashing one fences only
+// it. The crashed shard loses its epoch and refuses its own refs; the
+// others keep serving at epoch 1; recovery brings the victim to epoch 2.
+func TestShardedSingleShardCrash(t *testing.T) {
+	s := newSharded(t, 4)
+	const victim = 2
+	s.shards[victim].Crash()
+	for i, sh := range s.shards {
+		if sh.Down() != (i == victim) {
+			t.Fatalf("shard %d Down() = %v", i, sh.Down())
+		}
+		want := uint64(1)
+		if i == victim {
+			want = 0 // the volatile view died with the process
+		}
+		if sh.Epoch() != want {
+			t.Fatalf("shard %d epoch = %d, want %d", i, sh.Epoch(), want)
+		}
+	}
+	var served, refused int
+	for k := uint64(0); served == 0 || refused == 0; k++ {
+		ref := RegRef{ID: k, Key: mix64(k)}
+		err := s.Register(ref, 0, nil)
+		switch {
+		case s.owner(ref) == s.shards[victim] && errors.Is(err, ErrDown):
+			refused++
+		case s.owner(ref) != s.shards[victim] && err == nil:
+			served++
+		default:
+			t.Fatalf("Register(%v) = %v on owner down=%v", ref, err, s.owner(ref).Down())
+		}
+	}
+	if _, err := s.shards[victim].Recover(); err != nil {
+		t.Fatal(err)
+	}
+	for i, sh := range s.shards {
+		want := uint64(1)
+		if i == victim {
+			want = 2
+		}
+		if sh.Epoch() != want {
+			t.Fatalf("after recovery shard %d epoch = %d, want %d", i, sh.Epoch(), want)
+		}
+	}
+	if st := s.Stats(); st.Crashes != 1 || st.Recoveries != 1 {
 		t.Fatalf("stats: crashes=%d recoveries=%d, want 1/1", st.Crashes, st.Recoveries)
 	}
 }
 
-// A recovered shard must replay its pre-crash journal: directory state
-// survives the crash through durable storage.
+// A recovered shard replays its pre-crash journal, so every ref it owned
+// is found again through the fixture's routing.
 func TestShardedRecoveryReplaysState(t *testing.T) {
-	s := newSharded(4)
-	refs := make([]RegRef, 0, 128)
-	for i := 0; i < 128; i++ {
-		ref := RegRef{ID: uint64(i), Key: mix64(uint64(i) | 1<<20)}
-		if err := s.Register(ref, 1, nil); err != nil {
-			t.Fatal(err)
-		}
-		refs = append(refs, ref)
-	}
-	live := s.Live()
+	s := newSharded(t, 4)
+	refs := registerN(t, s, 128, 1<<20)
 	const victim = 1
-	s.Crash(victim)
-	if _, err := s.RecoverShard(victim); err != nil {
+	before := s.shards[victim].Live()
+	s.shards[victim].Crash()
+	if s.Live() != len(refs)-before {
+		t.Fatalf("Live() = %d with shard %d down, want %d", s.Live(), victim, len(refs)-before)
+	}
+	rep, err := s.shards[victim].Recover()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Live() != live {
-		t.Fatalf("Live() = %d after recovery, want %d", s.Live(), live)
+	if rep.Replayed == 0 || s.Live() != len(refs) {
+		t.Fatalf("recovery replayed %d records, Live() = %d; want > 0 and %d", rep.Replayed, s.Live(), len(refs))
 	}
 	for _, ref := range refs {
-		if s.Lookup(ref) == nil {
+		if s.owner(ref).Lookup(ref) == nil {
 			t.Fatalf("ref %v lost across shard %d recovery", ref, victim)
 		}
 	}
 }
 
-// Ticket fencing: a ticket minted before a shard crash/recovery must not
-// validate afterwards, and the plane counts the stale route. Tickets for
-// untouched shards stay valid.
-func TestShardedTicketFencing(t *testing.T) {
-	s := newSharded(4)
-	const victim = 3
-	stale := s.Ticket(victim)
-	bystander := s.Ticket(0)
-	if err := s.ValidateTicket(stale); err != nil {
-		t.Fatalf("fresh ticket rejected: %v", err)
-	}
-	s.Crash(victim)
-	if _, err := s.RecoverShard(victim); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.ValidateTicket(stale); !errors.Is(err, ErrStaleRoute) {
-		t.Fatalf("pre-recovery ticket validated: err=%v", err)
-	}
-	if err := s.ValidateTicket(bystander); err != nil {
-		t.Fatalf("bystander shard's ticket invalidated by another shard's recovery: %v", err)
-	}
-	if got := s.Stats().StaleRoutes; got != 1 {
-		t.Fatalf("StaleRoutes = %d, want 1", got)
-	}
-	if err := s.ValidateTicket(Ticket{Shard: 99, Gen: 0}); !errors.Is(err, ErrStaleRoute) {
-		t.Fatalf("out-of-range ticket validated: err=%v", err)
-	}
-}
-
-// Shard-local reconciliation: recovering shard i compares only refs the
-// ring routes to i. A kernel listing full of other shards' registrations
-// must not be adopted as shard i's drift, and shard i's own lost entry
-// must be re-adopted.
+// Reconciling one shard against a kernel listing of its own refs changes
+// that shard alone: the lost ref is dropped, a kernel-only ref adopted,
+// and every other shard keeps its directory.
 func TestShardedReconcileIsShardLocal(t *testing.T) {
-	s := newSharded(4)
-	var mine, theirs []RegRef
-	for k := uint64(0); len(mine) < 4 || len(theirs) < 4; k++ {
-		ref := RegRef{ID: k, Key: mix64(k * 0x9e3779b9)}
-		if s.RouteRef(ref) == 0 {
+	s := newSharded(t, 4)
+	refs := registerN(t, s, 64, 0x9e3779b9)
+	var mine []RegRef
+	for _, ref := range refs {
+		if s.owner(ref) == s.shards[0] && ref.ID%3 == 0 {
 			mine = append(mine, ref)
-		} else {
-			theirs = append(theirs, ref)
 		}
 	}
-	// The kernel lists everything; shard 0's directory holds nothing.
-	listing := []MachineRegs{{Machine: 0, Refs: append(append([]RegRef{}, mine...), theirs...)}}
-	rep := s.ReconcileShard(0, listing)
-	if len(rep.Adopted) != len(mine) {
-		t.Fatalf("shard 0 adopted %d refs, want its %d own", len(rep.Adopted), len(mine))
+	if len(mine) < 2 {
+		t.Fatalf("shard 0 owns %d machine-0 refs, want >= 2", len(mine))
 	}
-	for _, ref := range rep.Adopted {
-		if s.RouteRef(ref) != 0 {
-			t.Fatalf("shard 0 adopted foreign ref %v (owner %d)", ref, s.RouteRef(ref))
-		}
+	others := make([]int, len(s.shards))
+	for i, sh := range s.shards {
+		others[i] = sh.Live()
 	}
-	for _, ref := range theirs {
-		if s.Shard(0).Lookup(ref) != nil {
-			t.Fatalf("foreign ref %v adopted into shard 0's directory", ref)
-		}
-	}
-	// Dropping is shard-local too: register one of shard 0's refs, then
-	// reconcile with a listing that omits it — but still lists the foreign
-	// refs, which must not confuse the pass.
 	drop := mine[len(mine)-1]
-	rep = s.ReconcileShard(0, []MachineRegs{{Machine: 0, Refs: theirs}})
-	found := false
-	for _, ref := range rep.Dropped {
-		if s.RouteRef(ref) != 0 {
-			t.Fatalf("shard 0 dropped foreign ref %v", ref)
-		}
-		if ref == drop {
-			found = true
+	adopt := RegRef{ID: 1 << 40, Key: 7}
+	listing := append(append([]RegRef{}, mine[:len(mine)-1]...), adopt)
+	rep := s.shards[0].Reconcile([]MachineRegs{{Machine: 0, Refs: listing}})
+	if len(rep.Dropped) != 1 || rep.Dropped[0] != drop {
+		t.Fatalf("dropped %v, want [%v]", rep.Dropped, drop)
+	}
+	if len(rep.Adopted) != 1 || rep.Adopted[0] != adopt {
+		t.Fatalf("adopted %v, want [%v]", rep.Adopted, adopt)
+	}
+	for i, sh := range s.shards[1:] {
+		if sh.Live() != others[i+1] || sh.Stats().DriftDropped+sh.Stats().DriftAdopted != 0 {
+			t.Fatalf("shard %d touched by shard 0's reconcile: live %d (was %d), %+v", i+1, sh.Live(), others[i+1], sh.Stats())
 		}
 	}
-	if !found {
-		t.Fatalf("shard 0 did not drop its lost ref %v", drop)
+	if st := s.Stats(); st.DriftDropped != 1 || st.DriftAdopted != 1 || s.Live() != len(refs) {
+		t.Fatalf("summed drift %d/%d, Live() %d; want 1/1 and %d", st.DriftDropped, st.DriftAdopted, s.Live(), len(refs))
 	}
 }
 
-// Save/load round-trip in the sharded container format, and the legacy
-// single-shard format through the same loader.
+// Every shard's durable image round-trips through LoadState on its own,
+// and the one-shard fixture saves exactly the bare Coordinator's bytes.
 func TestShardedSaveLoadRoundTrip(t *testing.T) {
-	s := newSharded(4)
-	for i := 0; i < 200; i++ {
-		ref := RegRef{ID: uint64(i), Key: mix64(uint64(i) * 11400714819323198485)}
-		if err := s.Register(ref, i%3, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	states, err := LoadShardStates(s.Save())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(states) != 4 {
-		t.Fatalf("loaded %d shard states, want 4", len(states))
-	}
+	s := newSharded(t, 4)
+	refs := registerN(t, s, 200, 11400714819323198485)
 	total := 0
-	for i, st := range states {
-		if st.Shard != i {
-			t.Fatalf("state %d labeled shard %d", i, st.Shard)
+	for i, sh := range s.shards {
+		st, _, err := LoadState(sh.Save())
+		if err != nil {
+			t.Fatalf("shard %d: %v", i, err)
 		}
-		if st.State.ShardID != i || st.State.ShardCount != 4 {
-			t.Fatalf("shard %d stamp decoded as %d/%d", i, st.State.ShardID, st.State.ShardCount)
+		if len(st.Regs) != sh.Live() || st.Epoch != 1 {
+			t.Fatalf("shard %d loaded %d regs at epoch %d, want %d at 1", i, len(st.Regs), st.Epoch, sh.Live())
 		}
-		total += len(st.State.Regs)
+		for ref := range st.Regs {
+			if s.owner(ref) != sh {
+				t.Fatalf("shard %d saved foreign ref %v", i, ref)
+			}
+		}
+		total += len(st.Regs)
 	}
-	if total != 200 {
-		t.Fatalf("round-tripped %d regs, want 200", total)
+	if total != len(refs) {
+		t.Fatalf("round-tripped %d regs, want %d", total, len(refs))
 	}
 
-	single := newSharded(1)
-	if err := single.Register(RegRef{ID: 1, Key: 2}, 0, nil); err != nil {
+	single, bare := newSharded(t, 1), New(simtime.DefaultCostModel())
+	if err := bare.Start(); err != nil {
 		t.Fatal(err)
 	}
-	states, err = LoadShardStates(single.Save())
-	if err != nil {
+	ref := RegRef{ID: 1, Key: 2}
+	if err := single.Register(ref, 0, nil); err != nil {
 		t.Fatal(err)
 	}
-	if len(states) != 1 || states[0].Shard != 0 || len(states[0].State.Regs) != 1 {
-		t.Fatalf("legacy blob loaded wrong: %+v", states)
+	if err := bare.Register(ref, 0, nil); err != nil {
+		t.Fatal(err)
 	}
-	if states[0].State.ShardCount != 0 {
-		t.Fatal("single-shard save must carry no shard stamp")
+	if !bytes.Equal(single.shards[0].Save(), bare.Save()) {
+		t.Fatal("one-shard fixture save differs from the bare Coordinator's")
 	}
 }
 
-// Corrupt sharded containers must fail loudly, not panic or half-load.
+// A damaged shard image fails loudly with *CorruptError, not a panic or
+// a half-loaded directory.
 func TestShardedSaveCorruption(t *testing.T) {
-	s := newSharded(2)
-	blob := s.Save()
+	s := newSharded(t, 2)
+	registerN(t, s, 16, 3)
+	blob := s.shards[0].Save()
 	for _, tc := range []struct {
 		name string
 		data []byte
 	}{
-		{"truncated header", blob[:len(shardedMagic)+2]},
+		{"truncated header", blob[:len(saveMagic)+2]},
 		{"truncated section", blob[:len(blob)-3]},
 		{"trailing bytes", append(append([]byte{}, blob...), 0xAA)},
+		{"foreign magic", append([]byte("RMCSHRD\x31"), blob[len(saveMagic):]...)},
 	} {
-		if _, err := LoadShardStates(tc.data); err == nil {
-			t.Fatalf("%s: load succeeded on corrupt container", tc.name)
+		var ce *CorruptError
+		if _, _, err := LoadState(tc.data); !errors.As(err, &ce) {
+			t.Fatalf("%s: err = %v, want *CorruptError", tc.name, err)
 		}
 	}
 }
 
-// Crash(-1) is the legacy whole-plane outage; stats aggregate per shard.
+// Stats sums every shard's crash, recovery and epoch counters.
 func TestShardedCrashAllAggregates(t *testing.T) {
-	s := newSharded(3)
-	s.Crash(-1)
-	for i := 0; i < 3; i++ {
-		if !s.ShardDown(i) {
-			t.Fatalf("shard %d survived Crash(-1)", i)
-		}
+	s := newSharded(t, 3)
+	registerN(t, s, 30, 5)
+	for _, sh := range s.shards {
+		sh.Crash()
 	}
-	for i := 0; i < 3; i++ {
-		if _, err := s.RecoverShard(i); err != nil {
-			t.Fatal(err)
+	if s.Live() != 0 {
+		t.Fatalf("Live() = %d with every shard down, want 0", s.Live())
+	}
+	for i, sh := range s.shards {
+		if _, err := sh.Recover(); err != nil {
+			t.Fatalf("shard %d: %v", i, err)
 		}
 	}
 	st := s.Stats()
@@ -329,28 +293,7 @@ func TestShardedCrashAllAggregates(t *testing.T) {
 		t.Fatalf("aggregate crashes=%d recoveries=%d, want 3/3", st.Crashes, st.Recoveries)
 	}
 	// Start: 3 epoch bumps; recoveries: 3 more.
-	if st.EpochBumps != 6 {
-		t.Fatalf("aggregate epoch bumps = %d, want 6", st.EpochBumps)
-	}
-}
-
-// The plan-slot union is shard-major and complete.
-func TestShardedPlanSlots(t *testing.T) {
-	s := newSharded(4)
-	for i := 0; i < 32; i++ {
-		if err := s.IssueSlot("fn", i, uint64(i)<<20, uint64(i+1)<<20); err != nil {
-			t.Fatal(err)
-		}
-	}
-	slots := s.PlanSlots()
-	if len(slots) != 32 {
-		t.Fatalf("PlanSlots() returned %d slots, want 32", len(slots))
-	}
-	seen := map[int]bool{}
-	for _, sl := range slots {
-		if sl.Fn != "fn" || seen[sl.Inst] {
-			t.Fatalf("bad or duplicate slot %+v", sl)
-		}
-		seen[sl.Inst] = true
+	if st.EpochBumps != 6 || s.Live() != 30 {
+		t.Fatalf("aggregate epoch bumps = %d, Live() = %d; want 6 and 30", st.EpochBumps, s.Live())
 	}
 }

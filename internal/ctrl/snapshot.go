@@ -40,15 +40,6 @@ type State struct {
 	Regs   map[RegRef]*Registration
 	Places map[int]int // pod -> machine
 
-	// ShardID/ShardCount are the owning shard's identity, adopted from the
-	// last RecShard stamp replayed (0/0 for a single-shard journal). They
-	// are journal-carried only — never serialized into snapshots, so the
-	// single-shard snapshot format is byte-identical to the pre-sharding
-	// one; the sharded save container carries shard identity durably and
-	// the shard re-stamps its journal after every compacting recovery.
-	ShardID    int
-	ShardCount int
-
 	slotIndex map[slotKey]int
 }
 
@@ -108,9 +99,6 @@ func (s *State) apply(r Record) {
 	case RecReclaim:
 		// Audit record only; the release that reached zero already removed
 		// the directory entry.
-	case RecShard:
-		s.ShardID = r.Shard
-		s.ShardCount = r.Shards
 	}
 }
 

@@ -152,12 +152,6 @@ type Partition struct {
 type CoordCrash struct {
 	At        simtime.Time
 	RecoverAt simtime.Time // 0 = stays down for the rest of the run
-	// Shard targets one coordinator shard of a sharded control plane
-	// (DESIGN.md §15): only that shard crashes, fences, and backlogs while
-	// the others keep serving. nil (the zero value, and the JSON default)
-	// crashes every shard — the legacy whole-coordinator outage, and the
-	// only meaningful setting on the default single-shard plane.
-	Shard *int
 }
 
 // CoordPartition severs the directed link between one machine and the

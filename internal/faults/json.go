@@ -1,8 +1,10 @@
 package faults
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -60,7 +62,6 @@ type partitionJSON struct {
 type coordCrashJSON struct {
 	At        string `json:"at"`
 	RecoverAt string `json:"recover_at,omitempty"` // omitted = stays down
-	Shard     *int   `json:"shard,omitempty"`      // nil or -1 = every shard
 }
 
 type coordPartitionJSON struct {
@@ -94,11 +95,18 @@ func parseAt(s string) (simtime.Time, error) {
 	return simtime.Time(d.Nanoseconds()), nil
 }
 
-// ParsePlan decodes a JSON fault plan.
+// ParsePlan decodes a JSON fault plan. An unknown key is an error, not a
+// no-op: a misspelt "recover_at" would otherwise leave the coordinator
+// down for the whole run.
 func ParsePlan(data []byte) (Plan, error) {
 	var pj planJSON
-	if err := json.Unmarshal(data, &pj); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&pj); err != nil {
 		return Plan{}, fmt.Errorf("faults: parse plan: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return Plan{}, fmt.Errorf("faults: parse plan: data after the plan object")
 	}
 	p := Plan{Seed: pj.Seed}
 	for i, rj := range pj.Rules {
@@ -188,15 +196,6 @@ func ParsePlan(data []byte) (Plan, error) {
 		if cc.RecoverAt != 0 && cc.RecoverAt <= cc.At {
 			return Plan{}, fmt.Errorf("coordinator crash %d: recover_at %q <= at %q",
 				i, cj.RecoverAt, cj.At)
-		}
-		if cj.Shard != nil {
-			if *cj.Shard < -1 {
-				return Plan{}, fmt.Errorf("coordinator crash %d: bad shard %d (use -1 or omit for every shard)", i, *cj.Shard)
-			}
-			if *cj.Shard >= 0 {
-				shard := *cj.Shard
-				cc.Shard = &shard
-			}
 		}
 		p.CoordCrashes = append(p.CoordCrashes, cc)
 	}

@@ -76,7 +76,10 @@ func TestParsePlanErrors(t *testing.T) {
 		{"self partition", `{"partitions":[{"from":2,"to":2}]}`, "partition 0: machine 2 cannot partition from itself"},
 		{"empty partition window", `{"partitions":[{"from":0,"to":1,"after":"1.5ms","until":"1ms"}]}`, "partition 0: empty window"},
 		{"zero partition window", `{"partitions":[{"from":0,"to":1,"after":"1ms","until":"1ms"}]}`, "partition 0: empty window"},
-		{"bad coord crash shard", `{"coordinator_crashes":[{"at":"1ms","shard":-2}]}`, "coordinator crash 0: bad shard -2"},
+		{"misspelt recover_at", `{"coordinator_crashes":[{"at":"1ms","recover-at":"2ms"}]}`, `unknown field "recover-at"`},
+		{"unknown top-level key", `{"seed":1,"crash":[]}`, `unknown field "crash"`},
+		{"trailing object", `{"seed":1} {"seed":2}`, "data after the plan object"},
+		{"trailing brace", `{"seed":1}}`, "data after the plan object"},
 	}
 	for _, tc := range cases {
 		_, err := ParsePlan([]byte(tc.in))
@@ -86,28 +89,23 @@ func TestParsePlanErrors(t *testing.T) {
 	}
 }
 
-// TestParsePlanCoordShard pins the shard-targeted coordinator-crash
-// syntax (DESIGN.md §15): an explicit shard index targets one shard,
-// while -1 and an omitted field both mean the legacy every-shard outage
-// (CoordCrash.Shard == nil), preserving pre-sharding plan semantics.
+// TestParsePlanCoordShard: a coordinator crash takes down the one
+// coordinator. The shard-less form parses as that crash, and any "shard"
+// key — a target with no coordinator to aim at — is rejected by name
+// rather than silently widened into a full outage.
 func TestParsePlanCoordShard(t *testing.T) {
-	p, err := ParsePlan([]byte(`{"coordinator_crashes":[{"at":"1ms","recover_at":"2ms","shard":2}]}`))
+	p, err := ParsePlan([]byte(`{"coordinator_crashes":[{"at":"1ms","recover_at":"2ms"}]}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(p.CoordCrashes) != 1 || p.CoordCrashes[0].Shard == nil || *p.CoordCrashes[0].Shard != 2 {
-		t.Fatalf("shard 2 crash parsed as %+v", p.CoordCrashes)
+	want := CoordCrash{At: simtime.Time(simtime.Millisecond), RecoverAt: simtime.Time(2 * simtime.Millisecond)}
+	if len(p.CoordCrashes) != 1 || p.CoordCrashes[0] != want {
+		t.Fatalf("coordinator crash parsed as %+v, want [%+v]", p.CoordCrashes, want)
 	}
-	for name, in := range map[string]string{
-		"omitted": `{"coordinator_crashes":[{"at":"1ms"}]}`,
-		"minus-1": `{"coordinator_crashes":[{"at":"1ms","shard":-1}]}`,
-	} {
-		p, err := ParsePlan([]byte(in))
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if len(p.CoordCrashes) != 1 || p.CoordCrashes[0].Shard != nil {
-			t.Fatalf("%s: want every-shard crash (nil Shard), got %+v", name, p.CoordCrashes)
+	for _, shard := range []string{"2", "0", "-1"} {
+		in := `{"coordinator_crashes":[{"at":"1ms","recover_at":"2ms","shard":` + shard + `}]}`
+		if _, err := ParsePlan([]byte(in)); err == nil || !strings.Contains(err.Error(), `unknown field "shard"`) {
+			t.Errorf("shard %s: err = %v, want unknown field \"shard\"", shard, err)
 		}
 	}
 }

@@ -20,46 +20,34 @@ import (
 // is lower than the highest this kernel has adopted.
 var ErrStaleEpoch = errors.New("kernel: command from a stale coordinator epoch")
 
-// Epochs are tracked per coordinator shard (DESIGN.md §15): a shard
-// crash + recovery bumps only that shard's epoch, so its stale commands
-// fence while every other shard's commands keep flowing. The single-shard
-// (default) control plane is shard 0.
-
-// AdoptShardEpoch raises this kernel's adopted epoch for one coordinator
-// shard; lower values are ignored (epochs only move forward).
-func (k *Kernel) AdoptShardEpoch(shard int, epoch uint64) {
+// AdoptEpoch raises this kernel's adopted coordinator epoch; lower values
+// are ignored (epochs only move forward).
+func (k *Kernel) AdoptEpoch(epoch uint64) {
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	if epoch > k.ctrlEpochs[shard] {
-		if k.ctrlEpochs == nil {
-			k.ctrlEpochs = make(map[int]uint64)
-		}
-		k.ctrlEpochs[shard] = epoch
+	if epoch > k.ctrlEpoch {
+		k.ctrlEpoch = epoch
 	}
 }
 
-// CtrlShardEpoch returns the highest epoch adopted for one shard.
-func (k *Kernel) CtrlShardEpoch(shard int) uint64 {
+// CtrlEpoch returns the highest coordinator epoch this kernel has adopted.
+func (k *Kernel) CtrlEpoch() uint64 {
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	return k.ctrlEpochs[shard]
+	return k.ctrlEpoch
 }
 
-// DeregisterMemFencedShard is DeregisterMem gated on the issuing shard
+// DeregisterMemFenced is DeregisterMem gated on the issuing coordinator
 // incarnation's epoch. A command from a stale epoch is refused with
 // ErrStaleEpoch; a newer epoch is adopted first (commands are implicit
-// epoch announcements, as in SWIM-style incarnation numbers). The fence
-// is per shard: it never consults — or disturbs — other shards' epochs.
-func (k *Kernel) DeregisterMemFencedShard(shard int, epoch uint64, id FuncID, key Key) error {
+// epoch announcements, as in SWIM-style incarnation numbers).
+func (k *Kernel) DeregisterMemFenced(epoch uint64, id FuncID, key Key) error {
 	k.mu.Lock()
-	if cur := k.ctrlEpochs[shard]; epoch < cur {
+	if cur := k.ctrlEpoch; epoch < cur {
 		k.mu.Unlock()
-		return fmt.Errorf("%w: shard %d epoch %d < %d (id=%d)", ErrStaleEpoch, shard, epoch, cur, id)
+		return fmt.Errorf("%w: epoch %d < %d (id=%d)", ErrStaleEpoch, epoch, cur, id)
 	} else if epoch > cur {
-		if k.ctrlEpochs == nil {
-			k.ctrlEpochs = make(map[int]uint64)
-		}
-		k.ctrlEpochs[shard] = epoch
+		k.ctrlEpoch = epoch
 	}
 	k.mu.Unlock()
 	return k.DeregisterMem(id, key)

@@ -13,18 +13,18 @@ func TestEpochFencingBlocksStaleReclaim(t *testing.T) {
 	_, meta := producerSetup(t, c, 0, 0x100000, 0x102000, []byte("fence-me"))
 	k := c.kernels[0]
 
-	k.AdoptShardEpoch(0, 2)
-	if k.CtrlShardEpoch(0) != 2 {
-		t.Fatalf("CtrlEpoch = %d, want 2", k.CtrlShardEpoch(0))
+	k.AdoptEpoch(2)
+	if k.CtrlEpoch() != 2 {
+		t.Fatalf("CtrlEpoch = %d, want 2", k.CtrlEpoch())
 	}
 	// Epochs only move forward.
-	k.AdoptShardEpoch(0, 1)
-	if k.CtrlShardEpoch(0) != 2 {
-		t.Fatalf("AdoptEpoch lowered the epoch to %d", k.CtrlShardEpoch(0))
+	k.AdoptEpoch(1)
+	if k.CtrlEpoch() != 2 {
+		t.Fatalf("AdoptEpoch lowered the epoch to %d", k.CtrlEpoch())
 	}
 
 	// A zombie pre-crash coordinator (epoch 1) cannot reclaim.
-	err := k.DeregisterMemFencedShard(0, 1, meta.ID, meta.Key)
+	err := k.DeregisterMemFenced(1, meta.ID, meta.Key)
 	if !errors.Is(err, ErrStaleEpoch) {
 		t.Fatalf("stale reclaim: err = %v, want ErrStaleEpoch", err)
 	}
@@ -33,7 +33,7 @@ func TestEpochFencingBlocksStaleReclaim(t *testing.T) {
 	}
 
 	// The current epoch reclaims normally.
-	if err := k.DeregisterMemFencedShard(0, 2, meta.ID, meta.Key); err != nil {
+	if err := k.DeregisterMemFenced(2, meta.ID, meta.Key); err != nil {
 		t.Fatalf("current-epoch reclaim: %v", err)
 	}
 	if k.Registrations() != 0 {
@@ -45,18 +45,74 @@ func TestEpochFencingAdoptsNewerFromCommand(t *testing.T) {
 	c := newCluster(t, 1)
 	_, meta := producerSetup(t, c, 0, 0x100000, 0x101000, []byte("adopt"))
 	k := c.kernels[0]
-	k.AdoptShardEpoch(0, 1)
+	k.AdoptEpoch(1)
 
 	// A command from epoch 3 is an implicit announcement: it executes and
 	// the kernel adopts 3, so epoch-2 commands are fenced afterwards.
-	if err := k.DeregisterMemFencedShard(0, 3, meta.ID, meta.Key); err != nil {
+	if err := k.DeregisterMemFenced(3, meta.ID, meta.Key); err != nil {
 		t.Fatalf("newer-epoch reclaim: %v", err)
 	}
-	if k.CtrlShardEpoch(0) != 3 {
-		t.Fatalf("CtrlEpoch = %d after epoch-3 command, want 3", k.CtrlShardEpoch(0))
+	if k.CtrlEpoch() != 3 {
+		t.Fatalf("CtrlEpoch = %d after epoch-3 command, want 3", k.CtrlEpoch())
 	}
-	if err := k.DeregisterMemFencedShard(0, 2, 99, 99); !errors.Is(err, ErrStaleEpoch) {
+	if err := k.DeregisterMemFenced(2, 99, 99); !errors.Is(err, ErrStaleEpoch) {
 		t.Fatalf("epoch-2 command after adopting 3: %v, want ErrStaleEpoch", err)
+	}
+}
+
+// Each kernel holds its own adopted epoch: an announcement moves the
+// kernel it reaches and no other, and each kernel's epoch is monotone.
+func TestShardEpochsIndependent(t *testing.T) {
+	c := newCluster(t, 3)
+	c.kernels[1].AdoptEpoch(5)
+	for i, want := range []uint64{0, 5, 0} {
+		if got := c.kernels[i].CtrlEpoch(); got != want {
+			t.Fatalf("kernel %d epoch = %d after kernel 1 adopted 5, want %d", i, got, want)
+		}
+	}
+	c.kernels[1].AdoptEpoch(3)
+	c.kernels[0].AdoptEpoch(1)
+	for i, want := range []uint64{1, 5, 0} {
+		if got := c.kernels[i].CtrlEpoch(); got != want {
+			t.Fatalf("kernel %d epoch = %d, want %d", i, got, want)
+		}
+	}
+}
+
+// Fencing is local to each kernel: while a recovered coordinator's epoch
+// broadcast has reached kernel 1 but not kernel 0, kernel 1 fences the
+// zombie's epoch-1 reclaim and kernel 0 still executes one. A newer-epoch
+// command is an implicit announcement on the kernel it reaches only.
+func TestShardEpochFencingIsShardLocal(t *testing.T) {
+	c := newCluster(t, 2)
+	_, meta0 := producerSetup(t, c, 0, 0x100000, 0x102000, []byte("behind"))
+	_, meta1 := producerSetup(t, c, 1, 0x100000, 0x102000, []byte("ahead"))
+	k0, k1 := c.kernels[0], c.kernels[1]
+	k0.AdoptEpoch(1)
+	k1.AdoptEpoch(2)
+
+	if err := k1.DeregisterMemFenced(1, meta1.ID, meta1.Key); !errors.Is(err, ErrStaleEpoch) {
+		t.Fatalf("stale reclaim on the announced kernel: %v, want ErrStaleEpoch", err)
+	}
+	if k1.Registrations() != 1 {
+		t.Fatal("stale reclaim destroyed a live registration")
+	}
+	if err := k0.DeregisterMemFenced(1, meta0.ID, meta0.Key); err != nil {
+		t.Fatalf("epoch-1 reclaim on the kernel still at epoch 1: %v", err)
+	}
+	if k0.Registrations() != 0 {
+		t.Fatalf("kernel 0 registrations = %d, want 0", k0.Registrations())
+	}
+
+	_, meta0 = producerSetup(t, c, 0, 0x200000, 0x201000, []byte("again"))
+	if err := k0.DeregisterMemFenced(7, meta0.ID, meta0.Key); err != nil {
+		t.Fatalf("newer-epoch reclaim: %v", err)
+	}
+	if got := k0.CtrlEpoch(); got != 7 {
+		t.Fatalf("kernel 0 epoch = %d after an epoch-7 command, want 7", got)
+	}
+	if got := k1.CtrlEpoch(); got != 2 {
+		t.Fatalf("kernel 0's epoch-7 command moved kernel 1's epoch to %d", got)
 	}
 }
 

@@ -124,11 +124,10 @@ type Kernel struct {
 	// raPages counts pages fetched by readahead beyond demand pages
 	// (atomic: bumped on every batch fault, read by stats snapshots).
 	raPages atomic.Int64
-	// ctrlEpochs maps coordinator shard index -> highest epoch this kernel
-	// has adopted for that shard; control-plane commands from lower epochs
-	// are fenced per shard (ctrlepoch.go). Lazily allocated under mu; the
-	// single-shard control plane only ever uses shard 0.
-	ctrlEpochs map[int]uint64
+	// ctrlEpoch is the highest coordinator epoch this kernel has adopted
+	// (guarded by mu); control-plane commands from lower epochs are fenced
+	// (ctrlepoch.go).
+	ctrlEpoch uint64
 	// Clock supplies the current virtual time for lease-based
 	// reclamation; nil means time 0 (leases disabled).
 	Clock func() simtime.Time

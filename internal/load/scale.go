@@ -27,10 +27,6 @@ type SoakSpec struct {
 	// Workers sizes the engine worker pool. It deliberately does NOT
 	// appear in the report — the report must not depend on it.
 	Workers int
-	// CtrlShards is the control-plane shard count (DESIGN.md §15). Like
-	// Workers it does not appear in the report: sharding re-partitions
-	// journals without moving any data-plane event.
-	CtrlShards int
 	// Topology selects the cluster shape: "" (or "flat") is the classic
 	// flat cluster, otherwise a platformbuilder recipe name or topology
 	// JSON file (rmmap load -topology). Multi-rack shapes add ToR/spine
@@ -125,12 +121,11 @@ func (spec SoakSpec) engine() (*platform.Engine, *platform.Cluster, error) {
 	}
 	adm := spec.Admission
 	opts := platform.Options{
-		Recovery:   rec,
-		Admission:  &adm,
-		Replicas:   spec.Replicas,
-		ColdStart:  spec.ColdStart,
-		Workers:    spec.Workers,
-		CtrlShards: spec.CtrlShards,
+		Recovery:  rec,
+		Admission: &adm,
+		Replicas:  spec.Replicas,
+		ColdStart: spec.ColdStart,
+		Workers:   spec.Workers,
 	}
 	cluster, err := spec.cluster(rec)
 	if err != nil {

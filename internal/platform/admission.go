@@ -49,7 +49,7 @@ func (e *Engine) SubmitTenant(info SubmitInfo, done func(RunResult)) {
 	// reclamation journaled by a coordinator that cannot journal anything,
 	// so it sheds deterministically with the typed error. In-flight
 	// requests are untouched — the data plane runs autonomously.
-	if e.coord != nil && e.coord.Down() {
+	if e.coord.Down() {
 		ps := &pendingSubmit{tenant: info.Tenant, deadline: deadline, submitted: now, done: done}
 		e.finishShed(ps, admit.ReasonControlPlane)
 		return
@@ -60,7 +60,7 @@ func (e *Engine) SubmitTenant(info SubmitInfo, done func(RunResult)) {
 	}
 	ps := &pendingSubmit{tenant: info.Tenant, deadline: deadline, submitted: now, done: done}
 	r := &admit.Request{Tenant: info.Tenant, Deadline: deadline, Payload: ps}
-	act, reason := e.admitCtrl.Submit(now, r, e.inflight, admit.BackpressureLive(e.coord.ShardLive()))
+	act, reason := e.admitCtrl.Submit(now, r, e.inflight, e.coord.Live())
 	e.publishAdmission()
 	switch act {
 	case admit.ActionRun:
@@ -99,7 +99,7 @@ func (e *Engine) pumpAdmission() {
 			e.finishShed(ps, admit.ReasonDeadline)
 			continue
 		}
-		if e.coord != nil && e.coord.Down() {
+		if e.coord.Down() {
 			// The coordinator crashed while this request sat queued; it
 			// sheds like a fresh arrival would (see SubmitTenant).
 			e.finishShed(ps, admit.ReasonControlPlane)

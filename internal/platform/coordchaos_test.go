@@ -140,11 +140,11 @@ func TestChaosCoordinatorCrash(t *testing.T) {
 		t.Fatalf("coordinator epoch = %d, want 2", got)
 	}
 	for i, k := range e.Cluster.Kernels {
-		if got := k.CtrlShardEpoch(0); got != 2 {
+		if got := k.CtrlEpoch(); got != 2 {
 			t.Fatalf("kernel %d epoch = %d, want 2", i, got)
 		}
 	}
-	if err := e.Cluster.Kernels[0].DeregisterMemFencedShard(0, 1, kernel.FuncID(424242), kernel.Key(7)); !errors.Is(err, kernel.ErrStaleEpoch) {
+	if err := e.Cluster.Kernels[0].DeregisterMemFenced(1, kernel.FuncID(424242), kernel.Key(7)); !errors.Is(err, kernel.ErrStaleEpoch) {
 		t.Fatalf("stale-epoch reclaim returned %v, want ErrStaleEpoch", err)
 	}
 
@@ -159,6 +159,108 @@ func TestChaosCoordinatorCrash(t *testing.T) {
 	}
 	if traceString(res2.Trace) != traceString(res.Trace) {
 		t.Fatalf("trace differs across identical coordinator-crash runs")
+	}
+}
+
+// outageWindow runs the fault-free reference and returns it with the
+// window TestChaosCoordinatorCrash uses: open mid-transform, close
+// mid-sink, so the transform→sink boundary falls inside it.
+func outageWindow(t *testing.T, opts Options) (cref RunResult, transMachine memsim.MachineID, at, until simtime.Time) {
+	t.Helper()
+	ce := newCoordChaosEngine(t, pipelineWorkflow(1000), faults.Plan{Seed: chaosSeed}, opts, 3, 6)
+	cref, err := ce.Run()
+	if err != nil || cref.Output != pipelineSum {
+		t.Fatalf("clean run: err=%v output=%v", err, cref.Output)
+	}
+	trans := findSpan(t, cref.Trace, "transform#0")
+	sink := findSpan(t, cref.Trace, "sink#0")
+	return cref, memsim.MachineID(trans.Machine), trans.Start.Add(trans.Duration() / 2), sink.Start.Add(sink.Duration() / 2)
+}
+
+// TestChaosShardCrashWorkerInvariance: the coordinator crash + recovery
+// outage replays byte-identical at Workers ∈ {1, 8} — the journal and the
+// backlog are committed in canonical order regardless of the worker pool.
+func TestChaosShardCrashWorkerInvariance(t *testing.T) {
+	base := Options{Trace: true, Recovery: DefaultRecoveryPolicy()}
+	_, _, at, until := outageWindow(t, base)
+	plan := faults.Plan{Seed: chaosSeed, CoordCrashes: []faults.CoordCrash{{At: at, RecoverAt: until}}}
+
+	run := func(workers int) (RunResult, *Engine) {
+		o := base
+		o.Workers = workers
+		e := newCoordChaosEngine(t, pipelineWorkflow(1000), plan, o, 3, 6)
+		res, _ := e.Run()
+		return res, e
+	}
+	w1, _ := run(1)
+	w8, e8 := run(8)
+	if w1.Err != nil || w1.Output != pipelineSum || w1.Ctrl.Recoveries != 1 {
+		t.Fatalf("w1: err=%v output=%v ctrl=%+v", w1.Err, w1.Output, w1.Ctrl)
+	}
+	if w8.Latency != w1.Latency || w8.Output != w1.Output || w8.Ctrl != w1.Ctrl {
+		t.Fatalf("coordinator-crash run differs between workers=1 and workers=8:\n w1: lat=%v ctrl=%+v\n w8: lat=%v ctrl=%+v",
+			w1.Latency, w1.Ctrl, w8.Latency, w8.Ctrl)
+	}
+	if traceString(w8.Trace) != traceString(w1.Trace) {
+		t.Fatalf("trace differs between workers=1 and workers=8")
+	}
+	if e8.LiveRegistrations() != 0 {
+		t.Fatalf("workers=8: %d directory entries leaked", e8.LiveRegistrations())
+	}
+}
+
+// TestChaosShardTargetedCrash: a control-plane outage aimed at one machine
+// — the transform's machine partitioned from the coordinator over the same
+// window — backlogs that machine's operations alone. The data plane does
+// not notice (latency and trace byte-identical to the fault-free run), the
+// coordinator never crashes, so no epoch moves past 1 anywhere, and the
+// backlog drains at the window's end with no directory entry leaked.
+func TestChaosShardTargetedCrash(t *testing.T) {
+	opts := Options{Trace: true, Recovery: DefaultRecoveryPolicy()}
+	cref, machine, after, until := outageWindow(t, opts)
+	plan := faults.Plan{Seed: chaosSeed,
+		CoordPartitions: []faults.CoordPartition{{Machine: machine, After: after, Until: until}}}
+
+	run := func() (RunResult, *Engine) {
+		e := newCoordChaosEngine(t, pipelineWorkflow(1000), plan, opts, 3, 6)
+		res, _ := e.Run()
+		return res, e
+	}
+	res, e := run()
+	if res.Err != nil || res.Output != pipelineSum {
+		t.Fatalf("partitioned run: err=%v output=%v", res.Err, res.Output)
+	}
+	if res.Latency != cref.Latency {
+		t.Fatalf("latency %v != clean %v — a one-machine partition delayed the data plane", res.Latency, cref.Latency)
+	}
+	if traceString(res.Trace) != traceString(cref.Trace) {
+		t.Fatalf("trace not byte-identical to the fault-free run")
+	}
+	st := res.Ctrl
+	if st.Deferred == 0 {
+		t.Fatalf("no operation from partitioned machine %d deferred", machine)
+	}
+	if st.Crashes != 0 || st.Recoveries != 0 || st.EpochBumps != 1 {
+		t.Fatalf("partition touched coordinator liveness: %+v", st)
+	}
+	if st.Appends != cref.Ctrl.Appends {
+		t.Fatalf("journal appends = %d, want the clean run's %d (deferred, not lost)", st.Appends, cref.Ctrl.Appends)
+	}
+	if got := e.Coordinator().Epoch(); got != 1 {
+		t.Fatalf("coordinator epoch = %d, want 1", got)
+	}
+	for i, k := range e.Cluster.Kernels {
+		if got := k.CtrlEpoch(); got > 1 {
+			t.Fatalf("kernel %d epoch = %d without a recovery, want <= 1", i, got)
+		}
+	}
+	if e.LiveRegistrations() != 0 {
+		t.Fatalf("%d directory entries leaked past the window's drain", e.LiveRegistrations())
+	}
+
+	res2, _ := run()
+	if res2.Latency != res.Latency || res2.Ctrl != res.Ctrl || traceString(res2.Trace) != traceString(res.Trace) {
+		t.Fatalf("partitioned run not deterministic")
 	}
 }
 
@@ -192,7 +294,7 @@ func TestChaosCoordinatorEpochFencing(t *testing.T) {
 		e.Cluster.Sim.At(staleAt, func() {
 			for _, k := range e.Cluster.Kernels {
 				for _, rl := range k.ListRegistrations() {
-					switch err := k.DeregisterMemFencedShard(0, 1, rl.ID, rl.Key); {
+					switch err := k.DeregisterMemFenced(1, rl.ID, rl.Key); {
 					case err == nil:
 						executed++
 					case errors.Is(err, kernel.ErrStaleEpoch):

@@ -1,46 +1,34 @@
 package platform
 
 import (
-	"fmt"
-
 	"rmmap/internal/ctrl"
 	"rmmap/internal/kernel"
 	"rmmap/internal/memsim"
 )
 
-// Engine ↔ control-plane wiring (DESIGN.md §13, §15).
+// Engine ↔ control-plane wiring (DESIGN.md §13).
 //
-// The control plane is a sharded set of journaled coordinators: every
-// address-plan slot, pod placement, registration, ACL extension, and
-// reclamation is routed by consistent hash to its owning shard and
-// journaled there in simulated durable storage (CatStorage). The engine
+// The control plane is one journaled coordinator: every address-plan
+// slot, pod placement, registration, ACL extension, and reclamation is
+// journaled on it in simulated durable storage (CatStorage). The engine
 // talks to it only from the simulator thread — commit closures,
-// completion events, and timers — so each shard's journal byte stream is
-// a pure function of the canonical event order and stays identical at
-// any worker count. With Options.CtrlShards <= 1 (the default) there is
-// exactly one shard and the wiring degenerates to the pre-sharding
-// single-coordinator behaviour, byte for byte.
+// completion events, and timers — so the journal byte stream is a pure
+// function of the canonical event order and stays identical at any
+// worker count.
 //
-// While a shard is down or a machine is partitioned from the
-// coordinator, that shard's operations do not fail: they defer into the
-// shard's strict-FIFO backlog and drain at the shard's recovery (before
-// reconciliation, so deferred registrations are journaled rather than
-// adopted as drift) and at subsequent completion events. FIFO order is
-// per shard — operations on different shards touch different journals
-// and commute. The data plane never waits on any shard — kernels stay
-// authoritative for auth, paging, and ACLs; only reclamation and the
-// directory lag until recovery. A crashed shard fences and backlogs
-// alone: in-flight operations routed to the other shards proceed
-// untouched, so their latencies are unchanged.
+// While the coordinator is down or a machine is partitioned from it,
+// operations do not fail: they defer into a strict-FIFO backlog and
+// drain at recovery (before reconciliation, so deferred registrations
+// are journaled rather than adopted as drift) and at subsequent
+// completion events. The data plane never waits on the coordinator —
+// kernels stay authoritative for auth, paging, and ACLs; only
+// reclamation and the directory lag until recovery.
 
 // ctrlOp is one deferred control-plane operation. Machine is the
-// requester whose partition status gates replay; ticket is the fenced
-// route minted at issue time (a shard recovery in between marks the
-// replay as a stale-route re-route); fn performs the operation against
-// the recovered shard.
+// requester whose partition status gates replay; fn performs the
+// operation against the recovered coordinator.
 type ctrlOp struct {
 	machine memsim.MachineID
-	ticket  ctrl.Ticket
 	fn      func()
 }
 
@@ -49,13 +37,8 @@ func ctrlRef(id kernel.FuncID, key kernel.Key) ctrl.RegRef {
 	return ctrl.RegRef{ID: uint64(id), Key: uint64(key)}
 }
 
-// Coordinator exposes shard 0 of the engine's control plane — on the
-// default single-shard plane, the whole control plane (tests, CLIs).
-// Multi-shard consumers use ControlPlane.
-func (e *Engine) Coordinator() *ctrl.Coordinator { return e.coord.Shard(0) }
-
-// ControlPlane exposes the engine's (possibly sharded) control plane.
-func (e *Engine) ControlPlane() *ctrl.Sharded { return e.coord }
+// Coordinator exposes the engine's control plane (tests, CLIs).
+func (e *Engine) Coordinator() *ctrl.Coordinator { return e.coord }
 
 // GossipRounds reports completed failure-detector gossip rounds.
 func (e *Engine) GossipRounds() int { return e.gossipRounds }
@@ -67,64 +50,43 @@ func (e *Engine) coordPartitioned(machine memsim.MachineID) bool {
 	return in != nil && in.CoordPartitioned(machine)
 }
 
-// ctrlDo performs one control-plane operation against shard on behalf of
-// machine, or defers it into that shard's backlog. Deferral triggers: the
-// shard is down, the machine is partitioned from the coordinator, an
-// injected SiteCoordinator fault ate the call, or the shard's backlog is
-// non-empty (strict FIFO per shard — an op may never overtake an earlier
-// deferred one bound for the same journal, or that journal would reorder
-// against the canonical event sequence; ops bound for other shards
-// commute and proceed).
-func (e *Engine) ctrlDo(machine memsim.MachineID, endpoint string, shard int, fn func()) {
-	if e.coord == nil {
-		return
-	}
-	deferred := e.coord.ShardDown(shard) || len(e.ctrlBacklogs[shard]) > 0 || e.coordPartitioned(machine)
+// ctrlDo performs one control-plane operation on behalf of machine, or
+// defers it into the backlog. Deferral triggers: the coordinator is down,
+// the machine is partitioned from it, an injected SiteCoordinator fault
+// ate the call, or the backlog is non-empty (strict FIFO — an op may
+// never overtake an earlier deferred one, or the journal would reorder
+// against the canonical event sequence).
+func (e *Engine) ctrlDo(machine memsim.MachineID, endpoint string, fn func()) {
+	deferred := e.coord.Down() || len(e.ctrlBacklog) > 0 || e.coordPartitioned(machine)
 	if !deferred && e.Cluster.Injector != nil &&
 		e.Cluster.Injector.CheckCoordinator(machine, endpoint) != nil {
 		deferred = true // the control-plane RPC was injected away; redeliver later
 	}
 	if deferred {
-		e.ctrlBacklogs[shard] = append(e.ctrlBacklogs[shard],
-			ctrlOp{machine: machine, ticket: e.coord.Ticket(shard), fn: fn})
-		e.coord.NoteDeferred(shard)
+		e.ctrlBacklog = append(e.ctrlBacklog, ctrlOp{machine: machine, fn: fn})
+		e.coord.NoteDeferred()
 		return
 	}
 	fn()
 }
 
-// drainCtrlBacklogs replays every shard's deferred operations in per-shard
-// FIFO order, each shard stopping at the first op whose machine is still
-// partitioned (strict ordering) or if that shard is down. A ticket minted
-// before the shard's recovery no longer validates — the replay re-routes
-// (the op closure resolves the live shard state itself) and the plane
-// counts a stale route. Called at recovery, at partition-window ends, and
-// from every completion event.
-func (e *Engine) drainCtrlBacklogs() {
-	for shard := range e.ctrlBacklogs {
-		e.drainCtrlBacklog(shard)
-	}
-}
-
-func (e *Engine) drainCtrlBacklog(shard int) {
-	for len(e.ctrlBacklogs[shard]) > 0 {
-		if e.coord.ShardDown(shard) {
-			return
-		}
-		op := e.ctrlBacklogs[shard][0]
+// drainCtrlBacklog replays deferred operations in FIFO order, stopping at
+// the first op whose machine is still partitioned (strict ordering) or if
+// the coordinator is down. Called at recovery, at partition-window ends,
+// and from every completion event.
+func (e *Engine) drainCtrlBacklog() {
+	for len(e.ctrlBacklog) > 0 && !e.coord.Down() {
+		op := e.ctrlBacklog[0]
 		if e.coordPartitioned(op.machine) {
 			return
 		}
-		e.ctrlBacklogs[shard] = e.ctrlBacklogs[shard][1:]
-		_ = e.coord.ValidateTicket(op.ticket) // stale after a recovery: counted, then re-routed
+		e.ctrlBacklog = e.ctrlBacklog[1:]
 		op.fn()
 	}
 }
 
-// seedCoordinator journals the build-time control-plane state: epoch 1
-// (and the shard stamp on multi-shard planes), the address plan's issued
-// slots in plan order, and every pod placement — each on its owning
-// shard.
+// seedCoordinator journals the build-time control-plane state: epoch 1,
+// the address plan's issued slots in plan order, and every pod placement.
 func (e *Engine) seedCoordinator() error {
 	if err := e.coord.Start(); err != nil {
 		return err
@@ -145,30 +107,19 @@ func (e *Engine) seedCoordinator() error {
 
 // armCoordinatorFaults schedules the chaos plan's coordinator crash and
 // recovery on the simulator, plus a backlog drain at each coordinator
-// partition window's end. A crash with a Shard target takes down only
-// that shard (the others keep serving); without one it takes down every
-// shard — the legacy whole-coordinator outage. Arming happens at engine
-// build but the events fire inside Run — a crash at t=0 therefore can
-// never observe a half-initialized engine (see TestCoordCrashAtZero).
-func (e *Engine) armCoordinatorFaults() error {
+// partition window's end. Arming happens at engine build but the events
+// fire inside Run — a crash at t=0 therefore can never observe a
+// half-initialized engine (see TestChaosCrashAtTimeZero).
+func (e *Engine) armCoordinatorFaults() {
 	in := e.Cluster.Injector
 	if in == nil {
-		return nil
+		return
 	}
 	s := e.Cluster.Sim
 	for _, cc := range in.CoordCrashes() {
-		target := -1 // every shard
-		if cc.Shard != nil {
-			target = *cc.Shard
-			if target >= e.coord.NumShards() {
-				return fmt.Errorf("platform: coordinator crash targets shard %d of %d",
-					target, e.coord.NumShards())
-			}
-		}
-		cc := cc
-		s.At(cc.At, func() { e.coord.Crash(target) })
+		s.At(cc.At, e.coord.Crash)
 		if cc.RecoverAt > cc.At {
-			s.At(cc.RecoverAt, func() { e.recoverCoordinator(target) })
+			s.At(cc.RecoverAt, e.recoverCoordinator)
 		}
 	}
 	for _, cp := range in.CoordPartitions() {
@@ -176,59 +127,41 @@ func (e *Engine) armCoordinatorFaults() error {
 			continue // open-ended window: nothing to drain at
 		}
 		s.At(cp.Until, func() {
-			e.drainCtrlBacklogs()
+			e.drainCtrlBacklog()
 			e.pumpAdmission()
 		})
 	}
-	return nil
 }
 
-// recoverCoordinator brings crashed shards back (target -1: every down
-// shard), each in the §13 order:
+// recoverCoordinator brings a crashed coordinator back in the §13 order:
 //
-//  1. Recover — load the shard's snapshot, replay its journal tail,
-//     adopt a bumped epoch and journal the adoption (plus the shard
-//     re-stamp on multi-shard planes).
-//  2. Drain the shard's backlog — operations the data plane issued while
-//     the shard was down are journaled now, in their original order, so
-//     step 3 sees them as directory state rather than drift.
-//  3. Reconcile against live kernels — kernels are authoritative, and
-//     reconciliation is shard-local: only refs the ring routes to this
-//     shard are compared, so another shard's registrations are never
-//     adopted as this shard's drift. The listing omits crashed machines,
-//     whose entries drain via the normal release path.
-//  4. Broadcast the shard's new epoch so every kernel fences commands
-//     from the shard's pre-crash incarnation — and only that shard's;
-//     other shards' epochs are untouched (skipped under
-//     DisableEpochFence — the negative control where a zombie
-//     coordinator can still reclaim).
-//  5. Resume admission: queued submissions start again once no shard is
-//     down.
-func (e *Engine) recoverCoordinator(target int) {
-	if e.coord == nil {
-		return
-	}
-	for shard := 0; shard < e.coord.NumShards(); shard++ {
-		if target >= 0 && shard != target {
-			continue
-		}
-		if !e.coord.ShardDown(shard) {
-			continue
-		}
-		if _, err := e.coord.RecoverShard(shard); err != nil {
+//  1. Recover — load the snapshot, replay the journal tail, adopt a
+//     bumped epoch and journal the adoption.
+//  2. Drain the backlog — operations the data plane issued while the
+//     coordinator was down are journaled now, in their original order,
+//     so step 3 sees them as directory state rather than drift.
+//  3. Reconcile against live kernels — kernels are authoritative. The
+//     listing omits crashed machines, whose entries drain via the normal
+//     release path.
+//  4. Broadcast the new epoch so every kernel fences commands from the
+//     pre-crash incarnation (skipped under DisableEpochFence — the
+//     negative control where a zombie coordinator can still reclaim).
+//  5. Resume admission.
+func (e *Engine) recoverCoordinator() {
+	if e.coord.Down() {
+		if _, err := e.coord.Recover(); err != nil {
 			// Durable storage is simulated and the codec round-trips by
 			// construction; an error here is a bug, not a chaos outcome.
 			panic("platform: coordinator recovery failed: " + err.Error())
 		}
-		e.drainCtrlBacklog(shard)
-		e.coord.ReconcileShard(shard, e.kernelListings())
+		e.drainCtrlBacklog()
+		e.coord.Reconcile(e.kernelListings())
 		if !e.opts.DisableEpochFence {
-			epoch := e.coord.ShardEpoch(shard)
+			epoch := e.coord.Epoch()
 			for i, k := range e.Cluster.Kernels {
-				if e.Cluster.Machines[i].Crashed() {
-					continue
+				if !e.Cluster.Machines[i].Crashed() {
+					k.AdoptEpoch(epoch)
 				}
-				k.AdoptShardEpoch(shard, epoch)
 			}
 		}
 	}

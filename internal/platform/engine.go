@@ -59,16 +59,15 @@ type Engine struct {
 	nextReg  uint64
 	requests int
 
-	// Control plane (internal/ctrl, DESIGN.md §13, §15): coord is the
-	// consistent-hash-sharded set of journaled coordinators (one shard by
-	// default) holding the registration directory, issued address plan,
-	// and pod placements in simulated durable storage; ctrlBacklogs holds,
-	// per shard, operations deferred while that shard was down or the
-	// requester partitioned (strict FIFO per shard, drained at recovery
-	// and completion events); gossipRound rotates the failure detector's
-	// probe targets across rounds and gossipRounds counts them.
-	coord        *ctrl.Sharded
-	ctrlBacklogs [][]ctrlOp
+	// Control plane (internal/ctrl, DESIGN.md §13): coord is the journaled
+	// coordinator holding the registration directory, issued address plan,
+	// and pod placements in simulated durable storage; ctrlBacklog holds
+	// operations deferred while it was down or the requester partitioned
+	// (strict FIFO, drained at recovery and completion events);
+	// gossipRound rotates the failure detector's probe targets across
+	// rounds and gossipRounds counts them.
+	coord        *ctrl.Coordinator
+	ctrlBacklog  []ctrlOp
 	gossipRound  int
 	gossipRounds int
 
@@ -441,14 +440,11 @@ func NewEngineOn(cluster *Cluster, wf *Workflow, mode Mode, opts Options, pods i
 	// The control plane: a journaled coordinator seeded with the address
 	// plan and pod placements, its chaos schedule (if any) armed on the
 	// simulator — events fire inside Run, never during construction.
-	e.coord = ctrl.NewSharded(cm, opts.ctrlShards())
-	e.ctrlBacklogs = make([][]ctrlOp, opts.ctrlShards())
+	e.coord = ctrl.New(cm)
 	if err := e.seedCoordinator(); err != nil {
 		return nil, err
 	}
-	if err := e.armCoordinatorFaults(); err != nil {
-		return nil, err
-	}
+	e.armCoordinatorFaults()
 	return e, nil
 }
 
@@ -1076,7 +1072,7 @@ func (e *Engine) commit(it *execItem) {
 		// Redeliver control-plane operations deferred by an injected
 		// fault or a lifted partition before this completion issues new
 		// ones (strict FIFO keeps the journal in canonical order).
-		e.drainCtrlBacklogs()
+		e.drainCtrlBacklog()
 		// Fold the attempt's meter so re-executed nodes accumulate across
 		// attempts instead of overwriting.
 		if agg, ok := req.meters[inv.node]; ok {
@@ -1285,7 +1281,7 @@ func (e *Engine) forward(it *execItem, p *statePayload, out objrt.Obj, node node
 	it.commits = append(it.commits, func() {
 		_ = e.Cluster.Kernels[meta.Machine].ExtendACL(meta.ID, meta.Key, more)
 		ref := ctrlRef(meta.ID, meta.Key)
-		e.ctrlDo(meta.Machine, "ctrl.forward", e.coord.RouteRef(ref), func() {
+		e.ctrlDo(meta.Machine, "ctrl.forward", func() {
 			if e.coord.AddRef(ref) != nil {
 				return // the directory lost the entry; the kernel still holds it
 			}
@@ -1598,7 +1594,7 @@ func (e *Engine) produce(it *execItem, c *Container, pod *Pod, meter *simtime.Me
 		mach := int(meta.Machine)
 		ref := ctrlRef(id, key)
 		it.commits = append(it.commits, func() {
-			e.ctrlDo(meta.Machine, "ctrl.register", e.coord.RouteRef(ref), func() {
+			e.ctrlDo(meta.Machine, "ctrl.register", func() {
 				_ = e.coord.Register(ref, mach, allowedIDs)
 			})
 		})
@@ -1697,8 +1693,7 @@ func (e *Engine) releaseConsumer(p *statePayload) {
 	}
 	meta := p.meta
 	ref := ctrlRef(meta.ID, meta.Key)
-	shard := e.coord.RouteRef(ref)
-	e.ctrlDo(meta.Machine, "ctrl.release", shard, func() {
+	e.ctrlDo(meta.Machine, "ctrl.release", func() {
 		machine, last, err := e.coord.Release(ref)
 		if err != nil || !last {
 			return // unknown (reconciled away) or a forwarded ref remains
@@ -1709,8 +1704,8 @@ func (e *Engine) releaseConsumer(p *statePayload) {
 		k := e.Cluster.Kernels[machine]
 		if e.opts.DisableEpochFence {
 			_ = k.DeregisterMem(meta.ID, meta.Key)
-		} else if err := k.DeregisterMemFencedShard(shard, e.coord.ShardEpoch(shard), meta.ID, meta.Key); err != nil {
-			return // fenced: a newer incarnation owns this shard's registration
+		} else if err := k.DeregisterMemFenced(e.coord.Epoch(), meta.ID, meta.Key); err != nil {
+			return // fenced: a newer incarnation owns this registration
 		}
 		_ = e.coord.NoteReclaim(ref, machine)
 	})

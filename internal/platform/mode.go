@@ -187,15 +187,6 @@ type Options struct {
 	// RunResults, bench JSON — is byte-identical at any worker count.
 	// 0 means GOMAXPROCS; 1 is the sequential behavioral reference.
 	Workers int
-	// CtrlShards splits the control plane into this many consistent-hash
-	// coordinator shards (DESIGN.md §15): each shard owns its own journal,
-	// snapshot schedule, epoch, and deferred-op backlog, routed by
-	// registration key. 0 or 1 is the single journaled coordinator — the
-	// pre-sharding behaviour, byte-identical artifacts included. Sharding
-	// never changes data-plane artifacts either (spans and latencies are
-	// identical at any shard count); only the rmmap_ctrl_* journal counters
-	// reflect the per-shard streams.
-	CtrlShards int
 }
 
 // DefaultSmallState is the messaging-fallback threshold (§6): at or below
@@ -216,14 +207,6 @@ func (o Options) replicas(machines int) int {
 		r = machines - 1
 	}
 	return r
-}
-
-// ctrlShards resolves the effective coordinator shard count (0 = 1).
-func (o Options) ctrlShards() int {
-	if o.CtrlShards > 1 {
-		return o.CtrlShards
-	}
-	return 1
 }
 
 // workerCount resolves the effective worker-pool size (0 = GOMAXPROCS).

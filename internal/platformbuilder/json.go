@@ -1,8 +1,10 @@
 package platformbuilder
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 
 	"rmmap/internal/rdma"
@@ -45,11 +47,17 @@ type linkJSON struct {
 
 // ParseTopology builds a Builder from JSON, validating positionally like
 // faults.ParsePlan so errors name the offending entry ("rack 1: …",
-// "straggler 0: …").
+// "straggler 0: …"). An unknown key is an error: a misspelt "spine" would
+// otherwise silently keep the default spine.
 func ParseTopology(data []byte) (*Builder, error) {
 	var tj topologyJSON
-	if err := json.Unmarshal(data, &tj); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&tj); err != nil {
 		return nil, fmt.Errorf("platformbuilder: parse topology: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("platformbuilder: parse topology: data after the topology object")
 	}
 	if len(tj.Racks) == 0 {
 		return nil, fmt.Errorf("platformbuilder: topology has no racks")

@@ -64,6 +64,14 @@ func TestParseTopologyPositionalErrors(t *testing.T) {
 			"platformbuilder: duplicate machine id 0"},
 		{"sparse ids", `{"racks":[{"machines":[0]},{"machines":[2]}]}`,
 			"platformbuilder: machine ids must be dense 0..1, got 2"},
+		{"misspelt spine", `{"racks":[{"machines":[0]}],"spline":{"hop_ns":1}}`,
+			`platformbuilder: parse topology: json: unknown field "spline"`},
+		{"unknown rack key", `{"racks":[{"machines":[0],"fabirc":"tcp"}]}`,
+			`platformbuilder: parse topology: json: unknown field "fabirc"`},
+		{"unknown link key", `{"racks":[{"machines":[0]}],"tor":{"hop_ns":1,"gbs":2}}`,
+			`platformbuilder: parse topology: json: unknown field "gbs"`},
+		{"trailing data", `{"racks":[{"machines":[0]}]} {}`,
+			"platformbuilder: parse topology: data after the topology object"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -104,5 +112,23 @@ func TestResolve(t *testing.T) {
 	}
 	if _, err := Resolve(filepath.Join(dir, "missing.json"), 0); err == nil {
 		t.Error("missing file did not error")
+	}
+}
+
+// Every topology example in PLATFORMS.md parses under the strict decoder.
+func TestPlatformsDocExamplesParse(t *testing.T) {
+	doc, err := os.ReadFile("../../PLATFORMS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocks := strings.Split(string(doc), "```json\n")[1:]
+	if len(blocks) == 0 {
+		t.Fatal("PLATFORMS.md has no JSON example")
+	}
+	for i, b := range blocks {
+		body, _, _ := strings.Cut(b, "```")
+		if _, err := ParseTopology([]byte(body)); err != nil {
+			t.Errorf("example %d: %v", i, err)
+		}
 	}
 }
