@@ -8,6 +8,7 @@ import (
 	"io"
 
 	"rmmap/internal/platformbuilder"
+	"rmmap/internal/simtime"
 )
 
 // clusterFlags holds the workflow and cluster flags several subcommands
@@ -95,4 +96,13 @@ func parseExit(err error) int {
 		return 0
 	}
 	return 2
+}
+
+// checkRate rejects a rate no arrival schedule can advance at: not finite
+// and positive, or a gap under 1 ns (simtime.PerSecond returns 0).
+func checkRate(flag string, rate float64) error {
+	if simtime.PerSecond(rate) == 0 {
+		return fmt.Errorf("bad -%s %v: want a finite rate above 0 and at most 1e9 req/s", flag, rate)
+	}
+	return nil
 }

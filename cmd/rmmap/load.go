@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"rmmap/internal/admit"
+	"rmmap/internal/bench"
 	"rmmap/internal/faults"
 	"rmmap/internal/load"
 	"rmmap/internal/platform"
@@ -54,6 +55,18 @@ func runLoad(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return parseExit(err)
 	}
+	err := checkRate("rate", *rate)
+	if err == nil && *burstRate != 0 {
+		err = checkRate("burst-rate", *burstRate)
+	}
+	var multipliers []float64
+	if err == nil {
+		multipliers, err = parseCurve(*curve, *rate, *burstRate)
+	}
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 1
+	}
 
 	gen := load.BurstSpec{
 		BaseRate:   *rate,
@@ -77,7 +90,6 @@ func runLoad(args []string, stdout, stderr io.Writer) int {
 
 	var events []load.Event
 	var plan faults.Plan
-	var err error
 	if *tracePath != "" {
 		if events, err = load.LoadTrace(*tracePath); err != nil {
 			fmt.Fprintln(stderr, err)
@@ -101,17 +113,10 @@ func runLoad(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, err)
 		return 1
 	}
-	multipliers, err := parseCurve(*curve)
+	shape, err := cf.builder()
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 1
-	}
-
-	if cf.topology != "" {
-		if _, err := cf.builder(); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
 	}
 
 	spec := load.SoakSpec{
@@ -138,25 +143,29 @@ func runLoad(args []string, stdout, stderr io.Writer) int {
 		ColdStart:        *coldStart,
 		CurveMultipliers: multipliers,
 	}
-	rep, err := load.RunSoak(spec)
+	soak, err := load.RunSoak(spec)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 1
 	}
 
+	res := soak.Result
 	fmt.Fprintf(stdout, "%s (%s): %d tenants, %d arrivals over %gs\n",
-		rep.Workflow, rep.Mode, rep.Tenants, rep.Offered, rep.HorizonS)
-	fmt.Fprintln(stdout, rep.Summary())
+		spec.Workflow, spec.Mode, spec.Gen.Tenants, res.Offered, res.Horizon.Seconds())
+	fmt.Fprintf(stdout, "offered %.1f req/s, sustained %.1f req/s, shed %.1f%% (p50 %.3fms p99 %.3fms, cold-start rate %.3f)\n",
+		res.OfferedRPS(), res.GoodputRPS(), 100*res.ShedRate(),
+		res.Percentile(0.50).Millis(), res.Percentile(0.99).Millis(), res.ColdStartRate())
+	a := res.Admission
 	fmt.Fprintf(stdout, "sheds: queue-full=%d quota=%d breaker=%d backpressure=%d deadline=%d; breaker trips=%d\n",
-		rep.ShedQueueFull, rep.ShedQuota, rep.ShedBreaker, rep.ShedBackpressure,
-		rep.ShedDeadline, rep.BreakerTrips)
-	fmt.Fprintf(stdout, "injected faults: %d\n", rep.InjectedFaults)
-	for _, p := range rep.Curve {
+		a.ShedQueueFull, a.ShedQuota, a.ShedBreaker, a.ShedBackpressure, a.ShedDeadline, a.BreakerTrips)
+	fmt.Fprintf(stdout, "injected faults: %d\n", soak.Injected)
+	for i, p := range soak.Curve {
 		fmt.Fprintf(stdout, "  x%g: offered %.1f req/s -> goodput %.1f req/s (shed %.1f%%, p99 %.3fms)\n",
-			p.Multiplier, p.OfferedRPS, p.GoodputRPS, 100*p.ShedRate, p.P99Ms)
+			multipliers[i], p.OfferedRPS(), p.GoodputRPS(), 100*p.ShedRate(), p.Percentile(0.99).Millis())
 	}
 	if *jsonPath != "" {
-		if err := rep.WriteFile(*jsonPath); err != nil {
+		rep := bench.Report{Topology: shape.Name(), Experiments: []bench.ReportRun{{ID: "soak", Tables: bench.SoakTables(soak)}}}
+		if err := writeFile(*jsonPath, rep.WriteJSON); err != nil {
 			fmt.Fprintln(stderr, err)
 			return 1
 		}
@@ -165,14 +174,20 @@ func runLoad(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-func parseCurve(s string) ([]float64, error) {
+// parseCurve parses -curve: comma-separated multipliers, each finite and
+// positive and keeping every nonzero base rate a usable one.
+func parseCurve(s string, rates ...float64) ([]float64, error) {
 	if s == "" {
 		return nil, nil
 	}
 	var out []float64
 	for _, part := range strings.Split(s, ",") {
 		v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-		if err != nil || v <= 0 {
+		ok := err == nil && v > 0
+		for _, r := range rates {
+			ok = ok && (r == 0 || simtime.PerSecond(v*r) != 0)
+		}
+		if !ok {
 			return nil, fmt.Errorf("bad -curve multiplier %q", part)
 		}
 		out = append(out, v)

@@ -43,7 +43,8 @@
 //
 // load drives open-loop multi-tenant arrivals through the
 // admission-controlled engine, optionally under a fault plan, and writes
-// the BENCH_scale.json scale report (DESIGN.md §11).
+// the BENCH_scale.json scale report in bench -json's schema (DESIGN.md
+// §11). A rate no schedule can advance at exits 1.
 //
 //	rmmap net [-rows 5000] [-addr 127.0.0.1:0]
 //
@@ -68,8 +69,9 @@
 //
 // trace runs one workload under one mode and writes a metrics snapshot, a
 // Chrome trace (chrome://tracing, ui.perfetto.dev), a span JSONL and a
-// folded virtual-time profile. -openloop writes metrics only; if some
-// open-loop requests fail, the snapshot still covers the completed ones.
+// folded virtual-time profile. -openloop replays a fixed-rate schedule
+// and writes metrics only; if some open-loop requests fail, the snapshot
+// still covers the completed ones.
 //
 //	rmmap workflow [-workflow finra] [-mode rmmap-prefetch] [-small] [-requests 3] [-trace] [-tcp]
 //

@@ -58,6 +58,30 @@ func TestSubcommands(t *testing.T) {
 	}
 }
 
+// TestDegenerateRatesRejected: a rate no arrival schedule can advance at
+// (NaN, infinite, or a gap under 1 ns) exits 1 at once, naming its flag.
+func TestDegenerateRatesRejected(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		flag string
+	}{
+		{[]string{"load", "-rate", "NaN", "-horizon", "10ms", "-save-trace", "x"}, "-rate"},
+		{[]string{"load", "-rate", "Inf", "-horizon", "10ms", "-save-trace", "x"}, "-rate"},
+		{[]string{"load", "-rate", "1e12", "-horizon", "10ms", "-save-trace", "x"}, "-rate"},
+		{[]string{"load", "-burst-rate", "NaN", "-horizon", "10ms", "-small"}, "-burst-rate"},
+		{[]string{"load", "-curve", "NaN", "-horizon", "10ms", "-small"}, "-curve"},
+		{[]string{"load", "-curve", "1e12", "-horizon", "10ms", "-small"}, "-curve"},
+		{[]string{"trace", "-openloop", "NaN", "-duration", "500ms"}, "-openloop"},
+		{[]string{"trace", "-openloop", "Inf", "-duration", "500ms"}, "-openloop"},
+		{[]string{"trace", "-openloop", "1e12", "-duration", "500ms"}, "-openloop"},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run(tc.args, &stdout, &stderr); code != 1 || !strings.Contains(stderr.String(), tc.flag+" ") {
+			t.Errorf("rmmap %s: exit %d, stderr %q; want 1 naming %s", strings.Join(tc.args, " "), code, stderr.String(), tc.flag)
+		}
+	}
+}
+
 // TestBenchTopologyJSON pins -topology and -json on the fig14 grid:
 // -topology flat prints exactly what no flag prints, spine-leaf moves at
 // least one rmmap row, and a -json run with no IDs prints its three

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"rmmap/internal/bench"
+	"rmmap/internal/load"
 	"rmmap/internal/obs"
 	"rmmap/internal/platform"
 	"rmmap/internal/simtime"
@@ -70,6 +71,11 @@ func traceRun(cfg traceConfig, out io.Writer) error {
 	if cfg.scale <= 0 || cfg.scale > 1 {
 		return fmt.Errorf("scale %v outside (0,1]", cfg.scale)
 	}
+	if cfg.openRate != 0 {
+		if err := checkRate("openloop", cfg.openRate); err != nil {
+			return err
+		}
+	}
 	builder, err := findWorkload(cfg.workload, cfg.scale)
 	if err != nil {
 		return err
@@ -100,18 +106,24 @@ func traceRun(cfg traceConfig, out io.Writer) error {
 
 	var spans []platform.Span
 	var runErr error
-	if cfg.openRate > 0 {
-		res := e.RunOpenLoop(cfg.openRate, simtime.Duration(cfg.duration.Nanoseconds()))
+	if cfg.openRate != 0 {
+		horizon := simtime.Duration(cfg.duration.Nanoseconds())
+		res := load.Replay(e, load.Periodic(cfg.openRate, horizon), horizon)
 		fmt.Fprintf(out, "%s / %s open loop: %d requests at %.1f req/s, throughput %.1f req/s\n",
 			builder.Name, mode, res.Completed, cfg.openRate, res.Throughput())
-		if res.Errors > 0 {
+		if failed := res.Failed + res.Shed; failed > 0 {
 			// The registry already holds the completed requests' metrics;
 			// keep going so -metrics still captures them, and surface the
 			// failure as the exit status afterwards.
-			runErr = fmt.Errorf("open loop: %d of %d requests failed", res.Errors, res.Errors+res.Completed)
+			runErr = fmt.Errorf("open loop: %d of %d requests failed", failed, failed+res.Completed)
 		}
 		if res.Completed > 0 {
-			h := res.LatencyHistogram()
+			// The exponential-bucket view of the latencies, as -metrics
+			// records them.
+			h := obs.NewHistogram(obs.LatencyBucketsNs())
+			for _, l := range res.Latencies {
+				h.Observe(float64(l))
+			}
 			fmt.Fprintf(out, "latency p50=%v p90=%v p99=%v\n",
 				simtime.Duration(h.Quantile(0.50)), simtime.Duration(h.Quantile(0.90)),
 				simtime.Duration(h.Quantile(0.99)))

@@ -186,28 +186,29 @@ func TestDifferentialDeterminismHighContention(t *testing.T) {
 
 // TestDifferentialDeterminismOpenLoop is the open-loop leg: a fixed-rate
 // ML-prediction load in fig12's serving configuration (16-tree model,
-// throughput-sized batch) at small scale. The whole LoadResult of
-// Engine.RunOpenLoop — completions, latencies, pod samples, throughput
-// timeline — must be identical at every worker count.
+// throughput-sized batch) at small scale. The whole load.Result —
+// counters, latencies, busy-pod samples — must be identical at every
+// worker count.
 func TestDifferentialDeterminismOpenLoop(t *testing.T) {
 	cfg := workloads.DefaultMLPredict()
 	cfg.Images = scaleInt(300, goldenScale)
 	cfg.Trees = 16
-	run := func(workers int) platform.LoadResult {
+	run := func(workers int) load.Result {
 		e, err := platform.NewEngine(workloads.MLPredict(cfg), platform.ModeRMMAPPrefetch,
 			platform.Options{Workers: workers}, benchCluster())
 		if err != nil {
 			t.Fatal(err)
 		}
-		return e.RunOpenLoop(100, 300*simtime.Millisecond)
+		return load.Replay(e, load.Periodic(100, 300*simtime.Millisecond), 300*simtime.Millisecond)
 	}
 	ref := run(diffWorkers[0])
-	if ref.Completed == 0 || ref.Errors > 0 {
-		t.Fatalf("reference run unhealthy: completed=%d errors=%d", ref.Completed, ref.Errors)
+	if ref.Completed == 0 || ref.Failed+ref.Shed > 0 || len(ref.BusyPods) == 0 {
+		t.Fatalf("reference run unhealthy: completed=%d failed=%d shed=%d samples=%d",
+			ref.Completed, ref.Failed, ref.Shed, len(ref.BusyPods))
 	}
 	for _, w := range diffWorkers[1:] {
 		if got := run(w); !reflect.DeepEqual(ref, got) {
-			t.Errorf("open-loop LoadResult differs between workers=1 and workers=%d", w)
+			t.Errorf("open-loop load.Result differs between workers=1 and workers=%d", w)
 		}
 	}
 }
@@ -319,59 +320,72 @@ func TestDifferentialDeterminismChaosPlans(t *testing.T) {
 	}
 }
 
-// TestDifferentialDeterminismScaleReport is the BENCH_scale.json leg of the
+// TestDifferentialDeterminismSoak is the BENCH_scale.json leg of the
 // suite: an open-loop multi-tenant soak (bursty arrivals, deadlines,
-// admission control) under each example chaos plan must serialize to
-// byte-identical report JSON at Workers ∈ {1, 8} and across two fresh runs.
-func TestDifferentialDeterminismScaleReport(t *testing.T) {
-	for _, plan := range []struct{ name, path string }{
-		{"crash-failover", "../../cmd/rmmap/plans/crash-failover.json"},
-		{"partition-heal", "../../cmd/rmmap/plans/partition-heal.json"},
+// admission control) under each fault plan must render to byte-identical
+// rmmap load -json bytes at Workers ∈ {1, 8} and across two fresh runs.
+// The plans are an inline RPC-fault rule with a partition window, run
+// with a goodput curve, and the two example chaos plans.
+func TestDifferentialDeterminismSoak(t *testing.T) {
+	examples := load.SoakSpec{
+		Gen: load.BurstSpec{BaseRate: 150, BurstRate: 500, BurstEvery: 100 * simtime.Millisecond,
+			BurstLen: 25 * simtime.Millisecond, Horizon: 300 * simtime.Millisecond, Tenants: 50,
+			Deadline: 10 * simtime.Millisecond, Seed: 20260805},
+		Replicas: 1,
+	}
+	for _, sc := range []struct {
+		name, path string
+		spec       load.SoakSpec
+	}{
+		{name: "rule-partition", spec: load.SoakSpec{
+			Gen: load.BurstSpec{BaseRate: 150, BurstRate: 600, BurstEvery: 200 * simtime.Millisecond,
+				BurstLen: 50 * simtime.Millisecond, Horizon: 400 * simtime.Millisecond, Tenants: 32,
+				Deadline: 20 * simtime.Millisecond, Seed: 21},
+			Plan: faults.Plan{Seed: 99,
+				Rules: []faults.Rule{{Site: faults.SiteRPC, Target: faults.AnyMachine, Prob: 0.05}},
+				Partitions: []faults.Partition{{From: 1, To: 0,
+					After: simtime.Time(100 * simtime.Millisecond), Until: simtime.Time(150 * simtime.Millisecond)}}},
+			CurveMultipliers: []float64{0.5, 1, 2},
+		}},
+		{name: "crash-failover", path: "../../cmd/rmmap/plans/crash-failover.json", spec: examples},
+		{name: "partition-heal", path: "../../cmd/rmmap/plans/partition-heal.json", spec: examples},
 	} {
-		p, err := faults.LoadPlan(plan.path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		spec := load.SoakSpec{
-			Workflow: "wordcount",
-			Small:    true,
-			Mode:     platform.ModeRMMAP,
-			Machines: 4,
-			Pods:     16,
-			Gen: load.BurstSpec{
-				BaseRate:   150,
-				BurstRate:  500,
-				BurstEvery: 100 * simtime.Millisecond,
-				BurstLen:   25 * simtime.Millisecond,
-				Horizon:    300 * simtime.Millisecond,
-				Tenants:    50,
-				Deadline:   10 * simtime.Millisecond,
-				Seed:       20260805,
-			},
-			Plan:      p,
-			Replicas:  1,
-			Admission: admit.Config{QueueLimit: 64, MaxInflight: 32},
-		}
-		render := func(workers int) []byte {
-			spec := spec
-			spec.Workers = workers
-			rep, err := load.RunSoak(spec)
-			if err != nil {
-				t.Fatal(err)
+		t.Run(sc.name, func(t *testing.T) {
+			t.Parallel()
+			spec := sc.spec
+			spec.Workflow, spec.Small, spec.Mode = "wordcount", true, platform.ModeRMMAP
+			spec.Admission = admit.Config{QueueLimit: 64, MaxInflight: 32}
+			if sc.path != "" {
+				p, err := faults.LoadPlan(sc.path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				spec.Plan = p
 			}
-			var buf bytes.Buffer
-			if err := rep.WriteJSON(&buf); err != nil {
-				t.Fatal(err)
+			render := func(workers int) []byte {
+				spec := spec
+				spec.Workers = workers
+				soak, err := load.RunSoak(spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if soak.Result.Completed == 0 || len(soak.Curve) != len(spec.CurveMultipliers) {
+					t.Fatalf("soak did no work or lost its curve: %+v", soak.Result)
+				}
+				var buf bytes.Buffer
+				rep := Report{Topology: "flat", Experiments: []ReportRun{{ID: "soak", Tables: SoakTables(soak)}}}
+				if err := rep.WriteJSON(&buf); err != nil {
+					t.Fatal(err)
+				}
+				return buf.Bytes()
 			}
-			return buf.Bytes()
-		}
-		ref := render(1)
-		if got := render(8); !bytes.Equal(ref, got) {
-			t.Errorf("%s: scale report differs between workers=1 and workers=8\n--- workers=1:\n%s\n--- workers=8:\n%s",
-				plan.name, ref, got)
-		}
-		if got := render(1); !bytes.Equal(ref, got) {
-			t.Errorf("%s: scale report differs across fresh runs", plan.name)
-		}
+			ref := render(1)
+			if got := render(8); !bytes.Equal(ref, got) {
+				t.Errorf("soak report differs between workers=1 and workers=8\n--- workers=1:\n%s\n--- workers=8:\n%s", ref, got)
+			}
+			if got := render(1); !bytes.Equal(ref, got) {
+				t.Error("soak report differs across fresh runs")
+			}
+		})
 	}
 }

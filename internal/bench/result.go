@@ -21,9 +21,10 @@ type Table struct {
 	Caption []string `json:"caption,omitempty"`
 	Header  []string `json:"header"`
 	// Rows hold one cell per header column. A cell is a simtime.Duration
-	// (encoded as integer nanoseconds), an integer, a label (string), a
-	// Percent or a Multiplier. Compound values with their own print format
-	// (fig12's "12.3/16" busy pods, fig16a's "1.23 MB") are labels.
+	// (encoded as integer nanoseconds), an integer, a float64 rate, a
+	// label (string), a Percent or a Multiplier. Compound values with
+	// their own print format (fig12's "12.3/16" busy pods, fig16a's
+	// "1.23 MB") are labels.
 	Rows [][]any  `json:"rows"`
 	Note []string `json:"note,omitempty"`
 }
@@ -119,10 +120,13 @@ func finiteJSON(v float64) ([]byte, error) {
 	return json.Marshal(v)
 }
 
-// Report is the BENCH_fig14.json document rmmap bench -json writes: the
-// experiments one invocation ran, in run order.
+// Report is the document rmmap bench -json (BENCH_fig14.json) and rmmap
+// load -json (BENCH_scale.json) write: the experiments one invocation
+// ran, in run order.
 type Report struct {
-	Scale float64 `json:"scale"`
+	// Scale is bench's payload scale; load sizes workflows by -small
+	// instead, so its reports omit it.
+	Scale float64 `json:"scale,omitempty"`
 	// Topology names the -topology cluster shape ("flat" by default).
 	Topology    string      `json:"topology"`
 	Experiments []ReportRun `json:"experiments"`

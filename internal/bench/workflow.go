@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 
+	"rmmap/internal/load"
 	"rmmap/internal/objrt"
 	"rmmap/internal/platform"
 	"rmmap/internal/simtime"
@@ -303,14 +304,14 @@ func runFig12(scale float64) (Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		res := e.RunClosedLoop(clients, closedHorizon)
-		if res.Errors > 0 {
-			return nil, fmt.Errorf("fig12 %v: %d errors", mode, res.Errors)
+		res := load.ClosedLoop(e, clients, closedHorizon)
+		if errs := res.Failed + res.Shed; errs > 0 {
+			return nil, fmt.Errorf("fig12 %v: %d errors", mode, errs)
 		}
 		peak[mode] = res.Throughput()
 		t.add(mode.String(), fmt.Sprintf("%.1f", res.Throughput()),
 			res.Percentile(0.5), res.Percentile(0.9), res.Percentile(0.99),
-			fmt.Sprintf("%.1f/%d", res.AvgBusyPods(), res.TotalPods))
+			fmt.Sprintf("%.1f/%d", res.AvgBusyPods(), benchCluster().Pods))
 	}
 
 	// Lower row: a fixed request rate all approaches can sustain; compare
@@ -325,12 +326,12 @@ func runFig12(scale float64) (Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		res := e.RunOpenLoop(rate, openDur)
-		if res.Errors > 0 {
-			return nil, fmt.Errorf("fig12 open %v: %d errors", mode, res.Errors)
+		res := load.Replay(e, load.Periodic(rate, openDur), openDur)
+		if errs := res.Failed + res.Shed; errs > 0 {
+			return nil, fmt.Errorf("fig12 open %v: %d errors", mode, errs)
 		}
 		t2.add(mode.String(), fmt.Sprintf("%.1f", res.Throughput()),
-			fmt.Sprintf("%d/%d", res.ActivatedPods, res.TotalPods),
+			fmt.Sprintf("%d/%d", e.ActivatedPods(), benchCluster().Pods),
 			fmt.Sprintf("%.1f", res.AvgBusyPods()), res.Percentile(0.99))
 	}
 	return Result{t, t2}, nil

@@ -42,6 +42,24 @@ func (r *rng) exp(mean float64) float64 {
 // "t0001", ...), so tests and reports can reference generated tenants.
 func TenantName(i int) string { return fmt.Sprintf("t%04d", i) }
 
+// Periodic synthesizes a fixed-rate schedule: one arrival every 1s/rate
+// from instant 0 while i·gap fits in horizon, tenant "" and no deadline.
+// Replayed, each arrival is exactly an Engine.Submit. Like Poisson and
+// Bursty, it returns no events for a rate that is not finite and positive
+// or whose gap is under 1 ns (simtime.PerSecond returns 0): such a
+// schedule would never advance.
+func Periodic(rate float64, horizon simtime.Duration) []Event {
+	gap := simtime.PerSecond(rate)
+	if gap == 0 || horizon <= 0 {
+		return nil
+	}
+	events := make([]Event, int(float64(horizon)/float64(gap)))
+	for i := range events {
+		events[i].At = simtime.Time(simtime.Duration(i) * gap)
+	}
+	return events
+}
+
 // PoissonSpec parameterizes an open-loop Poisson arrival schedule.
 type PoissonSpec struct {
 	// Rate is the mean arrival rate in requests per virtual second.
@@ -62,7 +80,7 @@ type PoissonSpec struct {
 // the schedule never waits for completions — overload arrives at full
 // force, which is the point.
 func Poisson(spec PoissonSpec) []Event {
-	if spec.Rate <= 0 || spec.Horizon <= 0 {
+	if simtime.PerSecond(spec.Rate) == 0 || spec.Horizon <= 0 {
 		return nil
 	}
 	r := &rng{s: spec.Seed}
@@ -105,11 +123,11 @@ type BurstSpec struct {
 // arrival. That approximation (no mid-gap rate switch) keeps the
 // generator one draw per event and is plenty for an overload workload.
 func Bursty(spec BurstSpec) []Event {
-	if spec.BaseRate <= 0 || spec.Horizon <= 0 {
-		return nil
-	}
 	if spec.BurstRate < spec.BaseRate {
 		spec.BurstRate = spec.BaseRate
+	}
+	if simtime.PerSecond(spec.BaseRate) == 0 || simtime.PerSecond(spec.BurstRate) == 0 || spec.Horizon <= 0 {
+		return nil
 	}
 	r := &rng{s: spec.Seed}
 	inBurst := func(t float64) bool {

@@ -2,6 +2,7 @@ package load
 
 import (
 	"bytes"
+	"math"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -167,3 +168,29 @@ func TestTenantName(t *testing.T) {
 }
 
 func time1s() simtime.Duration { return simtime.Second }
+
+// TestGeneratorsRejectDegenerateRates: a rate that is not finite and
+// positive, or whose gap rounds under 1 ns, yields no events instead of a
+// schedule that never advances.
+func TestGeneratorsRejectDegenerateRates(t *testing.T) {
+	h := 10 * simtime.Millisecond
+	for _, rate := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 1e12, 0, -5} {
+		for name, events := range map[string][]Event{
+			"periodic":   Periodic(rate, h),
+			"poisson":    Poisson(PoissonSpec{Rate: rate, Horizon: h}),
+			"bursty":     Bursty(BurstSpec{BaseRate: rate, Horizon: h}),
+			"burst-rate": Bursty(BurstSpec{BaseRate: 100, BurstRate: rate, BurstEvery: h, BurstLen: h / 2, Horizon: h}),
+		} {
+			// A burst rate under the base rate is floored to it: still valid.
+			if name == "burst-rate" && rate < 100 {
+				continue
+			}
+			if events != nil {
+				t.Errorf("%s at rate %v: %d events, want none", name, rate, len(events))
+			}
+		}
+	}
+	if got := Periodic(1000, h); len(got) != 10 || got[9].At != simtime.Time(9*simtime.Millisecond) {
+		t.Errorf("Periodic(1000, 10ms) = %v", got)
+	}
+}

@@ -1,12 +1,13 @@
 package load
 
 import (
-	"bytes"
 	"reflect"
+	"slices"
 	"testing"
 
 	"rmmap/internal/admit"
 	"rmmap/internal/faults"
+	"rmmap/internal/obs"
 	"rmmap/internal/platform"
 	"rmmap/internal/simtime"
 )
@@ -68,7 +69,7 @@ func TestReplayConservation(t *testing.T) {
 func TestGoodputAtTwiceCapacity(t *testing.T) {
 	// Measure capacity closed-loop on a fresh engine (no admission), with
 	// concurrency matching the admission layer's inflight limit.
-	cap := testEngine(t, nil, 0).RunClosedLoop(admit.DefaultMaxInflight, 500*simtime.Millisecond).Throughput()
+	cap := ClosedLoop(testEngine(t, nil, 0), admit.DefaultMaxInflight, 500*simtime.Millisecond).Throughput()
 	if cap <= 0 {
 		t.Fatal("measured zero capacity")
 	}
@@ -129,74 +130,110 @@ func TestBreakerIsolation(t *testing.T) {
 	}
 }
 
-// TestRunSoakReportDeterministic checks BENCH_scale.json bytes are
-// identical across worker counts and fresh runs, including under faults
-// and a goodput curve.
-func TestRunSoakReportDeterministic(t *testing.T) {
-	spec := SoakSpec{
-		Workflow: "wordcount",
-		Small:    true,
-		Mode:     platform.ModeRMMAP,
-		Machines: 4,
-		Pods:     16,
-		Gen: BurstSpec{
-			BaseRate:   150,
-			BurstRate:  600,
-			BurstEvery: 200 * simtime.Millisecond,
-			BurstLen:   50 * simtime.Millisecond,
-			Horizon:    400 * simtime.Millisecond,
-			Tenants:    32,
-			Deadline:   20 * simtime.Millisecond,
-			Seed:       21,
-		},
-		Plan: faults.Plan{
-			Seed: 99,
-			Rules: []faults.Rule{
-				{Site: faults.SiteRPC, Target: faults.AnyMachine, Prob: 0.05},
-			},
-			Partitions: []faults.Partition{
-				{From: 1, To: 0, After: simtime.Time(100 * simtime.Millisecond),
-					Until: simtime.Time(150 * simtime.Millisecond)},
-			},
-		},
-		Admission:        admit.Config{QueueLimit: 64, MaxInflight: 32},
-		CurveMultipliers: []float64{0.5, 1, 2},
+func TestResultHelpers(t *testing.T) {
+	r := Result{
+		Completed: 10,
+		Horizon:   2 * simtime.Second,
+		Latencies: []simtime.Duration{1, 2, 3, 4, 5, 6, 7, 8, 9, 10},
+		BusyPods:  []int{2, 4, 6},
 	}
+	if got := r.Throughput(); got != 5 {
+		t.Errorf("throughput = %v", got)
+	}
+	if r.Percentile(0) != 1 || r.Percentile(1) != 10 || r.Percentile(0.5) != 5 {
+		t.Errorf("p0/p50/p100 = %v/%v/%v", r.Percentile(0), r.Percentile(0.5), r.Percentile(1))
+	}
+	if got := r.AvgBusyPods(); got != 4 {
+		t.Errorf("avg busy = %v", got)
+	}
+	// A backlog draining past the horizon widens the throughput window.
+	r.Drained = 4 * simtime.Second
+	if got := r.Throughput(); got != 2.5 {
+		t.Errorf("drained throughput = %v", got)
+	}
+	var empty Result
+	if empty.Throughput() != 0 || empty.Percentile(0.5) != 0 || empty.AvgBusyPods() != 0 {
+		t.Error("empty result helpers not zero")
+	}
+}
 
-	render := func(workers int) []byte {
-		spec := spec
-		spec.Workers = workers
-		rep, err := RunSoak(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := rep.WriteJSON(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
+func TestOpenLoopDeterministic(t *testing.T) {
+	run := func() Result {
+		return Replay(testEngine(t, nil, 0), Periodic(20, 2*simtime.Second), 2*simtime.Second)
 	}
+	a := run()
+	if a.Completed != 40 || a.Failed+a.Shed != 0 {
+		t.Fatalf("completed %d, failed %d, shed %d of 40", a.Completed, a.Failed, a.Shed)
+	}
+	if b := run(); !reflect.DeepEqual(a, b) {
+		t.Error("identical open-loop runs differ")
+	}
+}
 
-	w1 := render(1)
-	w8 := render(8)
-	again := render(1)
-	if !bytes.Equal(w1, w8) {
-		t.Fatalf("report differs across Workers 1 vs 8:\n%s\nvs\n%s", w1, w8)
+func TestOpenLoopThroughputMatchesRate(t *testing.T) {
+	horizon := 2 * simtime.Second
+	res := Replay(testEngine(t, nil, 0), Periodic(50, horizon), horizon)
+	if res.Offered != 100 || res.Failed+res.Shed != 0 {
+		t.Fatalf("offered %d, failed %d, shed %d", res.Offered, res.Failed, res.Shed)
 	}
-	if !bytes.Equal(w1, again) {
-		t.Fatal("report differs across fresh runs")
+	// The cluster easily sustains 50 req/s of small wordcount.
+	if res.Completed < 90 {
+		t.Errorf("completed %d of 100 offered", res.Completed)
 	}
-	rep, err := RunSoak(spec)
-	if err != nil {
-		t.Fatal(err)
+	// One busy-pod sample per 100 ms through the horizon, and a throughput
+	// over the drained window.
+	if len(res.BusyPods) != 21 || len(res.Latencies) != res.Completed {
+		t.Errorf("%d samples, %d latencies for %d completions", len(res.BusyPods), len(res.Latencies), res.Completed)
 	}
-	if rep.Offered == 0 || rep.Completed == 0 {
-		t.Fatalf("soak did no work: %+v", rep)
+	if want := float64(res.Completed) / max(res.Drained, horizon).Seconds(); res.Throughput() != want {
+		t.Errorf("throughput %v, want %v", res.Throughput(), want)
 	}
-	if len(rep.Curve) != 3 {
-		t.Fatalf("curve has %d points", len(rep.Curve))
+}
+
+func TestClosedLoopSaturates(t *testing.T) {
+	run := func(clients int) float64 {
+		return ClosedLoop(testEngine(t, nil, 0), clients, 100*simtime.Millisecond).Throughput()
 	}
-	if rep.Summary() == "" {
-		t.Fatal("empty summary")
+	if one, many := run(1), run(16); many <= one {
+		t.Errorf("throughput did not grow with clients: 1→%.1f 16→%.1f", one, many)
+	}
+}
+
+// TestClosedLoopConservation: completions equal submissions minus the
+// in-flight tail at the horizon, where the run stops.
+func TestClosedLoopConservation(t *testing.T) {
+	horizon := 100 * simtime.Millisecond
+	res := ClosedLoop(testEngine(t, nil, 0), 6, horizon)
+	if res.Failed+res.Shed != 0 || res.Completed == 0 {
+		t.Fatalf("completed %d, failed %d, shed %d", res.Completed, res.Failed, res.Shed)
+	}
+	if tail := res.Offered - res.Completed; tail < 0 || tail > 6 {
+		t.Errorf("offered %d, completed %d: in-flight tail %d outside [0, 6]", res.Offered, res.Completed, tail)
+	}
+	if res.Drained != horizon || res.Horizon != horizon {
+		t.Errorf("drained %v, horizon %v, want both %v", res.Drained, res.Horizon, horizon)
+	}
+	if len(res.Latencies) != res.Completed || !slices.IsSorted(res.Latencies) {
+		t.Errorf("%d latencies (sorted %v) for %d completions",
+			len(res.Latencies), slices.IsSorted(res.Latencies), res.Completed)
+	}
+}
+
+// TestResultLatencyHistogram: quantiles of the exponential-bucket
+// histogram rmmap trace -openloop prints must bracket the exact
+// percentile of the sorted sample.
+func TestResultLatencyHistogram(t *testing.T) {
+	res := Replay(testEngine(t, nil, 0), Periodic(200, 200*simtime.Millisecond), 200*simtime.Millisecond)
+	if res.Failed+res.Shed > 0 || res.Completed == 0 {
+		t.Fatalf("open loop: %d completed, %d failed, %d shed", res.Completed, res.Failed, res.Shed)
+	}
+	h := obs.NewHistogram(obs.LatencyBucketsNs())
+	for _, l := range res.Latencies {
+		h.Observe(float64(l))
+	}
+	exact, est := res.Percentile(0.5), simtime.Duration(h.Quantile(0.5))
+	// Exponential buckets: the estimate must be within one bucket (2x).
+	if est < exact/2 || est > exact*2 {
+		t.Fatalf("p50 estimate %v too far from exact %v", est, exact)
 	}
 }

@@ -24,7 +24,8 @@
 //
 //   - Profiles: a flamegraph-style folded aggregation (span path ×
 //     simtime category → total ns) plus latency histograms with exponential
-//     buckets and quantile estimation for open-loop runs.
+//     buckets and quantile estimation (rmmap trace -openloop folds an
+//     open-loop load.Result's latencies into one).
 //
 // Invariants: obs never advances virtual time and never mutates the
 // subsystems it observes; everything it reports is derived from state the

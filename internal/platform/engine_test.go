@@ -413,36 +413,19 @@ func TestHeapScopeCheaperRegister(t *testing.T) {
 	}
 }
 
-func TestOpenLoopDeterministic(t *testing.T) {
-	run := func() LoadResult {
-		e, err := NewEngine(pipelineWorkflow(200), ModeRMMAP, Options{}, smallCluster())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return e.RunOpenLoop(20, 2*simtime.Second)
+func TestEngineIntrospection(t *testing.T) {
+	e, err := NewEngine(pipelineWorkflow(10), ModeRMMAP, Options{}, smallCluster())
+	if err != nil {
+		t.Fatal(err)
 	}
-	a, b := run(), run()
-	if a.Completed != b.Completed || a.Completed == 0 {
-		t.Errorf("nondeterministic: %d vs %d", a.Completed, b.Completed)
+	if e.Mode() != ModeRMMAP {
+		t.Error("Mode()")
 	}
-	if a.Errors != 0 {
-		t.Errorf("errors: %d", a.Errors)
+	names := e.SortedFunctionNames()
+	if len(names) != 3 || names[0] != "produce" {
+		t.Errorf("names = %v", names)
 	}
-	if a.Percentile(0.5) != b.Percentile(0.5) {
-		t.Error("median latency differs across identical runs")
-	}
-}
-
-func TestClosedLoopSaturates(t *testing.T) {
-	run := func(clients int) float64 {
-		e, err := NewEngine(pipelineWorkflow(200), ModeMessaging, Options{}, ClusterConfig{Machines: 2, Pods: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return e.RunClosedLoop(clients, 2*simtime.Second).Throughput()
-	}
-	one, many := run(1), run(16)
-	if many <= one {
-		t.Errorf("throughput did not grow with clients: 1→%.1f 16→%.1f", one, many)
+	if e.BusyPods() != 0 || e.ActivatedPods() != 0 || e.QueueLen() != 0 {
+		t.Error("fresh engine not idle")
 	}
 }

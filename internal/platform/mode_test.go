@@ -49,3 +49,27 @@ func TestParseMode(t *testing.T) {
 		}
 	}
 }
+
+func TestModeStrings(t *testing.T) {
+	want := map[Mode]string{
+		ModeMessaging:     "messaging",
+		ModeStoragePocket: "storage(pocket)",
+		ModeStorageDrTM:   "storage(rdma)",
+		ModeRMMAP:         "rmmap",
+		ModeRMMAPPrefetch: "rmmap(prefetch)",
+	}
+	for m, s := range want {
+		if m.String() != s {
+			t.Errorf("%d.String() = %q, want %q", m, m.String(), s)
+		}
+	}
+	if !ModeRMMAP.IsRMMAP() || !ModeRMMAPPrefetch.IsRMMAP() || ModeMessaging.IsRMMAP() {
+		t.Error("IsRMMAP wrong")
+	}
+	if len(AllModes()) != 5 {
+		t.Errorf("AllModes = %d", len(AllModes()))
+	}
+	if Mode(99).String() != "mode(?)" {
+		t.Error("unknown mode string")
+	}
+}

@@ -7,8 +7,8 @@ import (
 	"rmmap/internal/simtime"
 )
 
-// Bridge from the engine's run artifacts (RunResult, trace spans, load
-// results) to the obs layer. Everything here derives from counters the run
+// Bridge from the engine's run artifacts (RunResult, trace spans) to the
+// obs layer. Everything here derives from counters the run
 // already produced — publishing is observation, never behavior.
 
 // ExportSpans converts a run's trace to obs spans in export form: machines
@@ -150,14 +150,4 @@ func BuildProfile(workflow string, spans []Span) obs.Profile {
 		}
 	}
 	return b.Entries()
-}
-
-// LatencyHistogram folds a load run's latencies into the standard
-// exponential buckets — the openloop percentile view (fig12's CDF).
-func (r LoadResult) LatencyHistogram() *obs.Histogram {
-	h := obs.NewHistogram(obs.LatencyBucketsNs())
-	for _, l := range r.Latencies {
-		h.Observe(float64(l))
-	}
-	return h
 }

@@ -203,26 +203,3 @@ func TestBuildProfileConservation(t *testing.T) {
 		}
 	}
 }
-
-// TestLoadResultLatencyHistogram: quantiles from the histogram must bracket
-// the exact percentile from the sorted sample.
-func TestLoadResultLatencyHistogram(t *testing.T) {
-	e, err := NewEngine(pipelineWorkflow(100), ModeMessaging, Options{}, smallCluster())
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := e.RunOpenLoop(200, 200*simtime.Millisecond)
-	if res.Errors > 0 || res.Completed == 0 {
-		t.Fatalf("open loop: %d completed, %d errors", res.Completed, res.Errors)
-	}
-	h := res.LatencyHistogram()
-	if h.Count() != int64(len(res.Latencies)) {
-		t.Fatalf("histogram count %d, latencies %d", h.Count(), len(res.Latencies))
-	}
-	exact := res.Percentile(0.5)
-	est := simtime.Duration(h.Quantile(0.5))
-	// Exponential buckets: the estimate must be within one bucket (2x).
-	if est < exact/2 || est > exact*2 {
-		t.Fatalf("p50 estimate %v too far from exact %v", est, exact)
-	}
-}

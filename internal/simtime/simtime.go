@@ -2,6 +2,7 @@ package simtime
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 )
@@ -53,13 +54,15 @@ func (d Duration) Micros() float64 { return float64(d) / float64(Microsecond) }
 
 // PerSecond converts an events-per-second rate into the mean interval
 // between events — the unit conversion open-loop generators and token
-// buckets share. Rates <= 0 (or too slow to represent) yield 0, which
+// buckets share. A rate that is not finite and positive, or whose
+// interval falls under 1 ns or past the Duration range, yields 0, which
 // callers must treat as "disabled" rather than "infinitely fast".
 func PerSecond(rate float64) Duration {
-	if rate <= 0 {
+	gap := float64(Second) / rate
+	if !(gap >= 1 && gap < math.MaxInt64) {
 		return 0
 	}
-	return Duration(float64(Second) / rate)
+	return Duration(gap)
 }
 
 // Category labels a charge on a Meter. The categories are chosen so that the

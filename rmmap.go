@@ -198,8 +198,6 @@ type (
 	Options = platform.Options
 	// RunResult reports one request.
 	RunResult = platform.RunResult
-	// LoadResult reports an open/closed-loop load run.
-	LoadResult = platform.LoadResult
 	// Plan is the §4.2 static address-space plan.
 	Plan = platform.Plan
 	// Spec is the JSON-serializable workflow description.
