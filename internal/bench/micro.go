@@ -519,7 +519,7 @@ func runFig15(scale float64) (Result, error) {
 				return 0, err
 			}
 		}
-		mp, err := rig.consK.RmapMode(rig.consAS, meta.Machine, meta.ID, meta.Key, meta.Start, meta.End, paging)
+		mp, err := rig.consK.RmapMeta(rig.consAS, meta, 0, paging)
 		if err != nil {
 			return 0, err
 		}

@@ -77,9 +77,6 @@ func IsTransient(err error) bool { return errors.Is(err, ErrInjected) }
 // same operation succeeds once the partition window lifts.
 var ErrPartitioned = errors.New("faults: link partitioned")
 
-// IsPartition reports whether err is a partition refusal.
-func IsPartition(err error) bool { return errors.Is(err, ErrPartitioned) }
-
 // PartitionError is the concrete refusal CheckPartition returns: it
 // satisfies errors.Is(err, ErrPartitioned) and additionally names the
 // severed directed link, so recovery code that parks on a partition can

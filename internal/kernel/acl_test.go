@@ -12,8 +12,7 @@ func TestACLAllowsListedConsumer(t *testing.T) {
 		t.Fatal(err)
 	}
 	cons := c.newAS(1)
-	mp, err := c.kernels[1].RmapAs(cons, meta.Machine, meta.ID, meta.Key,
-		meta.Start, meta.End, 500, PagingRDMA)
+	mp, err := c.kernels[1].RmapMeta(cons, meta, 500, PagingRDMA)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,8 +34,7 @@ func TestACLDeniesUnlistedConsumer(t *testing.T) {
 	}
 	cons := c.newAS(1)
 	// Wrong identity: denied even with the correct key.
-	_, err := c.kernels[1].RmapAs(cons, meta.Machine, meta.ID, meta.Key,
-		meta.Start, meta.End, 501, PagingRDMA)
+	_, err := c.kernels[1].RmapMeta(cons, meta, 501, PagingRDMA)
 	if err == nil {
 		t.Fatal("unlisted consumer mapped guarded memory")
 	}
@@ -76,15 +74,13 @@ func TestACLExtension(t *testing.T) {
 		t.Fatal(err)
 	}
 	cons := c.newAS(2)
-	if _, err := c.kernels[2].RmapAs(cons, meta.Machine, meta.ID, meta.Key,
-		meta.Start, meta.End, 20, PagingRDMA); err == nil {
+	if _, err := c.kernels[2].RmapMeta(cons, meta, 20, PagingRDMA); err == nil {
 		t.Fatal("consumer 20 mapped before ACL extension")
 	}
 	if err := c.kernels[0].SetACL(meta.ID, meta.Key, []FuncID{10, 20}); err != nil {
 		t.Fatal(err)
 	}
-	mp, err := c.kernels[2].RmapAs(cons, meta.Machine, meta.ID, meta.Key,
-		meta.Start, meta.End, 20, PagingRDMA)
+	mp, err := c.kernels[2].RmapMeta(cons, meta, 20, PagingRDMA)
 	if err != nil {
 		t.Fatalf("consumer 20 denied after extension: %v", err)
 	}

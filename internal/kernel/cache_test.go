@@ -207,7 +207,7 @@ func TestCacheSkipsRPCPaging(t *testing.T) {
 
 	for i := 0; i < 2; i++ {
 		cons := c.newAS(1)
-		mp, err := c.kernels[1].RmapMode(cons, meta.Machine, meta.ID, meta.Key, meta.Start, meta.End, PagingRPC)
+		mp, err := c.kernels[1].RmapMeta(cons, meta, 0, PagingRPC)
 		if err != nil {
 			t.Fatal(err)
 		}

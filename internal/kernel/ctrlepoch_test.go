@@ -161,16 +161,14 @@ func TestExtendACL(t *testing.T) {
 	}
 	for _, consumer := range []FuncID{10, 20} {
 		as := c.newAS(1)
-		mp, err := c.kernels[1].RmapAs(as, meta.Machine, meta.ID, meta.Key,
-			meta.Start, meta.End, consumer, PagingRDMA)
+		mp, err := c.kernels[1].RmapMeta(as, meta, consumer, PagingRDMA)
 		if err != nil {
 			t.Fatalf("allowed consumer %d denied: %v", consumer, err)
 		}
 		mp.Unmap()
 	}
 	as := c.newAS(1)
-	if _, err := c.kernels[1].RmapAs(as, meta.Machine, meta.ID, meta.Key,
-		meta.Start, meta.End, 30, PagingRDMA); !errors.Is(err, ErrDenied) {
+	if _, err := c.kernels[1].RmapMeta(as, meta, 30, PagingRDMA); !errors.Is(err, ErrDenied) {
 		t.Fatalf("unlisted consumer: %v, want ErrDenied", err)
 	}
 
@@ -182,8 +180,7 @@ func TestExtendACL(t *testing.T) {
 		t.Fatal(err)
 	}
 	as = c.newAS(1)
-	if _, err := c.kernels[1].RmapAs(as, meta.Machine, meta.ID, meta.Key,
-		meta.Start, meta.End, 31337, PagingRDMA); err != nil {
+	if _, err := c.kernels[1].RmapMeta(as, meta, 31337, PagingRDMA); err != nil {
 		t.Fatalf("allow-any ACL narrowed by ExtendACL: %v", err)
 	}
 

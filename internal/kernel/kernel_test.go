@@ -372,7 +372,7 @@ func TestRPCPagingSlower(t *testing.T) {
 		const start, end = uint64(0x100000), uint64(0x100000 + 64*memsim.PageSize)
 		_, meta := producerSetup(t, c, 0, start, end, []byte("q"))
 		cons := c.newAS(1)
-		if _, err := c.kernels[1].RmapMode(cons, meta.Machine, meta.ID, meta.Key, start, end, mode); err != nil {
+		if _, err := c.kernels[1].RmapMeta(cons, meta, 0, mode); err != nil {
 			t.Fatal(err)
 		}
 		buf := make([]byte, 1)

@@ -98,30 +98,18 @@ func findPage(pt []memsim.PageRef, vpn memsim.VPN) (int, bool) {
 // It fails if the range conflicts with an existing mapping — the error the
 // address-space plan exists to prevent.
 func (k *Kernel) Rmap(as *memsim.AddressSpace, mac memsim.MachineID, id FuncID, key Key, start, end uint64) (*Mapping, error) {
-	return k.RmapMode(as, mac, id, key, start, end, PagingRDMA)
+	return k.RmapMeta(as, VMMeta{Machine: mac, ID: id, Key: key, Start: start, End: end}, 0, PagingRDMA)
 }
 
-// RmapMode is Rmap with an explicit paging mode (ablations only).
-func (k *Kernel) RmapMode(as *memsim.AddressSpace, mac memsim.MachineID, id FuncID, key Key, start, end uint64, mode PagingMode) (*Mapping, error) {
-	return k.RmapAs(as, mac, id, key, start, end, 0, mode)
-}
-
-// RmapAs is RmapMode with an explicit consumer identity, validated against
-// the registration's ACL (connection-based permission control, §4.1).
-// Consumer 0 is anonymous and passes only ACL-free registrations.
-func (k *Kernel) RmapAs(as *memsim.AddressSpace, mac memsim.MachineID, id FuncID, key Key, start, end uint64, consumer FuncID, mode PagingMode) (*Mapping, error) {
-	return k.rmapFull(as, mac, id, key, start, end, consumer, mode, nil)
-}
-
-// RmapMeta is RmapAs driven by a registration's VMMeta, which carries the
-// backup machine list: with it the consumer can fail over to a replica
-// even when the producer is already dead at rmap time (the auth RPC that
-// would have named the backups can no longer be answered).
+// RmapMeta is Rmap driven by a registration's VMMeta, with an explicit
+// consumer identity and paging mode. The consumer is validated against the
+// registration's ACL (connection-based permission control, §4.1); consumer
+// 0 is anonymous and passes only ACL-free registrations. meta.Backups lets
+// the consumer fail over to a replica even when the producer is already
+// dead at rmap time (the auth RPC that would have named the backups can no
+// longer be answered). PagingRPC is the Fig 15 ablation.
 func (k *Kernel) RmapMeta(as *memsim.AddressSpace, meta VMMeta, consumer FuncID, mode PagingMode) (*Mapping, error) {
-	return k.rmapFull(as, meta.Machine, meta.ID, meta.Key, meta.Start, meta.End, consumer, mode, meta.Backups)
-}
-
-func (k *Kernel) rmapFull(as *memsim.AddressSpace, mac memsim.MachineID, id FuncID, key Key, start, end uint64, consumer FuncID, mode PagingMode, backups []memsim.MachineID) (*Mapping, error) {
+	mac, id, key, start, end := meta.Machine, meta.ID, meta.Key, meta.Start, meta.End
 	if as.Machine() != k.machine {
 		return nil, fmt.Errorf("kernel: address space not on machine %d", k.machine.ID())
 	}
@@ -129,7 +117,7 @@ func (k *Kernel) rmapFull(as *memsim.AddressSpace, mac memsim.MachineID, id Func
 
 	mp := &Mapping{k: k, as: as, target: mac, Start: start, End: end, mode: mode,
 		id: id, key: key, consumer: consumer, readTarget: mac,
-		backups: append([]memsim.MachineID(nil), backups...)}
+		backups: append([]memsim.MachineID(nil), meta.Backups...)}
 
 	// A lease that already proved the producer dead skips the doomed auth
 	// RPC and goes straight to a replica.

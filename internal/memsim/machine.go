@@ -390,14 +390,6 @@ func (m *Machine) PeakFrames() int {
 	return m.peak
 }
 
-// ResetPeak sets the high-water mark to the current live count, so an
-// experiment can measure the peak of one phase.
-func (m *Machine) ResetPeak() {
-	m.allocMu.Lock()
-	defer m.allocMu.Unlock()
-	m.peak = m.live
-}
-
 // LiveBytes is LiveFrames in bytes.
 func (m *Machine) LiveBytes() int { return m.LiveFrames() * PageSize }
 

@@ -9,41 +9,32 @@ import "fmt"
 // mismatches fail the type-safety check rather than mis-typing data.
 type CDS struct {
 	Version string
-	names   map[uint32]string
 	ids     map[Tag]uint32
 }
 
 // DefaultCDS returns the archive all same-version Java runtimes share.
 func DefaultCDS() *CDS {
-	c := &CDS{Version: "jdk11.0.18-cds1", names: map[uint32]string{}, ids: map[Tag]uint32{}}
-	for tag, name := range map[Tag]string{
-		TInt:     "java.lang.Long",
-		TFloat:   "java.lang.Double",
-		TStr:     "java.lang.String",
-		TBytes:   "byte[]",
-		TList:    "java.util.ArrayList",
-		TTuple:   "java.util.List",
-		TDict:    "java.util.HashMap",
-		TNDArray: "double[]",
-		TImage:   "java.awt.image.BufferedImage",
-		TTree:    "ml.Tree",
-		TForest:  "ml.Forest",
+	c := &CDS{Version: "jdk11.0.18-cds1", ids: map[Tag]uint32{}}
+	for _, tag := range []Tag{
+		TInt,     // java.lang.Long
+		TFloat,   // java.lang.Double
+		TStr,     // java.lang.String
+		TBytes,   // byte[]
+		TList,    // java.util.ArrayList
+		TTuple,   // java.util.List
+		TDict,    // java.util.HashMap
+		TNDArray, // double[]
+		TImage,   // java.awt.image.BufferedImage
+		TTree,    // ml.Tree
+		TForest,  // ml.Forest
 	} {
-		id := 100 + uint32(tag)
-		c.names[id] = name
-		c.ids[tag] = id
+		c.ids[tag] = 100 + uint32(tag)
 	}
 	return c
 }
 
 // KlassID returns the archive's klass ID for a tag (0 if unknown).
 func (c *CDS) KlassID(tag Tag) uint32 { return c.ids[tag] }
-
-// ClassName returns the class name for a klass ID.
-func (c *CDS) ClassName(id uint32) (string, bool) {
-	n, ok := c.names[id]
-	return n, ok
-}
 
 // Check validates that an object header's klass ID resolves to the class
 // this archive expects for its tag.
@@ -63,10 +54,9 @@ func (c *CDS) Check(tag Tag, klass uint32) error {
 // modelling an incompatible runtime version (for tests of the §4.3
 // same-version assumption).
 func (c *CDS) WithVersion(version string, shift uint32) *CDS {
-	out := &CDS{Version: version, names: map[uint32]string{}, ids: map[Tag]uint32{}}
+	out := &CDS{Version: version, ids: map[Tag]uint32{}}
 	for tag, id := range c.ids {
 		out.ids[tag] = id + shift
-		out.names[id+shift] = c.names[id]
 	}
 	return out
 }

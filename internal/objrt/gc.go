@@ -54,9 +54,6 @@ func (r *RemoteRef) Release() error {
 	return nil
 }
 
-// Released reports whether the proxy has been released.
-func (r *RemoteRef) Released() bool { return r.released }
-
 // RemoteRefs returns the live remote proxies.
 func (rt *Runtime) RemoteRefs() []*RemoteRef { return rt.remote }
 

@@ -3,6 +3,7 @@ package objrt
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 )
 
 // Tag identifies an object's type.
@@ -120,24 +121,39 @@ func decodeHeader(b []byte) (header, error) {
 	return h, nil
 }
 
-// payloadSize returns the payload byte length for a decoded header.
-func payloadSize(h header) uint64 {
+// payloadDims returns a header's payload length as n·unit + fixed bytes.
+func payloadDims(h header) (unit, fixed uint64) {
 	switch h.tag {
 	case TInt, TFloat:
-		return 8
+		return 0, 8
 	case TStr, TBytes, TImage:
-		return h.n
+		return 1, 0
 	case TList, TTuple, TForest:
-		return h.n * PtrSize
+		return PtrSize, 0
 	case TDict, TDataFrame:
-		return h.n * 2 * PtrSize
+		return 2 * PtrSize, 0
 	case TNDArray:
-		return uint64(h.aux)*8 + h.n*8 // shape dims then float64 data
+		return 8, uint64(h.aux) * 8 // shape dims then float64 data
 	case TTree:
-		return h.n * treeNodeSize
+		return treeNodeSize, 0
 	default:
-		return 0
+		return 0, 0
 	}
+}
+
+// payloadSize returns the payload byte length for a decoded header.
+func payloadSize(h header) uint64 {
+	unit, fixed := payloadDims(h)
+	return h.n*unit + fixed
+}
+
+// payloadSizeWithin is payloadSize for an untrusted header: ok is false
+// when the length exceeds limit, including when n·unit + fixed overflows.
+func payloadSizeWithin(h header, limit uint64) (size uint64, ok bool) {
+	unit, fixed := payloadDims(h)
+	hi, lo := bits.Mul64(h.n, unit)
+	size, carry := bits.Add64(lo, fixed, 0)
+	return size, hi == 0 && carry == 0 && size <= limit
 }
 
 // TreeNode is one node of a decision tree, stored inline (40 bytes):

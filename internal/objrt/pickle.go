@@ -150,7 +150,9 @@ func Unpickle(rt *Runtime, data []byte, meter *simtime.Meter) (Obj, error) {
 	count := getU64(data[p:])
 	p += 8
 
-	addrs := make([]uint64, 0, count)
+	// Every record is at least 14 bytes, so the stream bounds the count
+	// a well-formed header can claim; never trust it further than that.
+	addrs := make([]uint64, 0, min(count, uint64(len(data)-p)/14))
 	var objects int
 	var payloadBytes int
 	for r := uint64(0); r < count; r++ {
@@ -166,10 +168,11 @@ func Unpickle(rt *Runtime, data []byte, meter *simtime.Meter) (Obj, error) {
 		if h.tag == TInvalid || h.tag >= numTags {
 			return Obj{}, fmt.Errorf("%w: tag %d", ErrPickle, h.tag)
 		}
-		psize := int(payloadSize(h))
-		if p+psize > len(data) {
+		size, ok := payloadSizeWithin(h, uint64(len(data)-p))
+		if !ok {
 			return Obj{}, fmt.Errorf("%w: truncated payload %d", ErrPickle, r)
 		}
+		psize := int(size)
 		payload := make([]byte, psize)
 		copy(payload, data[p:p+psize])
 		p += psize

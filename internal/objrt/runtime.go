@@ -39,9 +39,6 @@ type Runtime struct {
 	roots  map[uint64]struct{}
 	remote []*RemoteRef
 	noIter map[Tag]bool
-
-	// allocCount is cumulative, for tests and stats.
-	allocCount int
 }
 
 // Config configures a runtime.
@@ -118,12 +115,8 @@ func (rt *Runtime) alloc(h header) (Obj, error) {
 	if err := rt.as.Write(addr, hdr[:]); err != nil {
 		return Obj{}, err
 	}
-	rt.allocCount++
 	return Obj{rt: rt, Addr: addr}, nil
 }
-
-// AllocCount returns the cumulative number of objects allocated.
-func (rt *Runtime) AllocCount() int { return rt.allocCount }
 
 // --- constructors ---
 

@@ -14,12 +14,12 @@ const (
 	testHeapEnd   = uint64(0x18000000) // 128 MB
 )
 
-func newRT(t *testing.T) *Runtime {
+func newRT(t testing.TB) *Runtime {
 	t.Helper()
 	return newRTLang(t, LangPython, nil)
 }
 
-func newRTLang(t *testing.T, lang Lang, cds *CDS) *Runtime {
+func newRTLang(t testing.TB, lang Lang, cds *CDS) *Runtime {
 	t.Helper()
 	m := memsim.NewMachine(0)
 	as := memsim.NewAddressSpace(m, simtime.DefaultCostModel())

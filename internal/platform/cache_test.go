@@ -69,7 +69,12 @@ func cacheFanWorkflow(width, elems int) *Workflow {
 // also returns the fabric page count and the cluster (for cache probes).
 func runCacheFan(t *testing.T, width, elems int, mode Mode, opts Options) (RunResult, int, *Cluster) {
 	t.Helper()
-	cl := NewCluster(2, simtime.DefaultCostModel())
+	return runCacheFanOn(t, NewCluster(2, simtime.DefaultCostModel()), width, elems, mode, opts)
+}
+
+// runCacheFanOn is runCacheFan on a caller-tuned two-machine cluster.
+func runCacheFanOn(t *testing.T, cl *Cluster, width, elems int, mode Mode, opts Options) (RunResult, int, *Cluster) {
+	t.Helper()
 	e, err := NewEngineOn(cl, cacheFanWorkflow(width, elems), mode, opts, 4+2*width)
 	if err != nil {
 		t.Fatal(err)
@@ -121,23 +126,32 @@ func TestFanOutCacheCutsFabricTraffic(t *testing.T) {
 // TestCacheOptionsNeverChangeResults: the cache and readahead are pure
 // optimizations — every (mode × knob) combination computes the same answer.
 func TestCacheOptionsNeverChangeResults(t *testing.T) {
-	grid := []Options{
+	grid := []struct {
+		opts      Options
+		readahead int // kernel readahead cap; 0 keeps the cluster default
+	}{
 		{},
-		{NoReadahead: true},
-		{NoPageCache: true},
-		{NoPageCache: true, NoReadahead: true},
-		{PageCacheBytes: 2 * memsim.PageSize, ReadaheadWindow: 4},
+		{opts: Options{NoReadahead: true}},
+		{opts: Options{NoPageCache: true}},
+		{opts: Options{NoPageCache: true, NoReadahead: true}},
+		{opts: Options{PageCacheBytes: 2 * memsim.PageSize}, readahead: 4},
 	}
 	for _, mode := range AllModes() {
 		var want any
-		for i, opts := range grid {
-			res, _, _ := runCacheFan(t, 4, 2048, mode, opts)
+		for i, g := range grid {
+			cl := NewCluster(2, simtime.DefaultCostModel())
+			if g.readahead > 0 {
+				for _, k := range cl.Kernels {
+					k.SetReadahead(g.readahead)
+				}
+			}
+			res, _, _ := runCacheFanOn(t, cl, 4, 2048, mode, g.opts)
 			if i == 0 {
 				want = res.Output
 				continue
 			}
 			if res.Output != want {
-				t.Errorf("%v with %+v: output %v, want %v", mode, opts, res.Output, want)
+				t.Errorf("%v with %+v: output %v, want %v", mode, g, res.Output, want)
 			}
 		}
 	}

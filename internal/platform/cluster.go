@@ -338,25 +338,17 @@ func (c *Cluster) PeakBytes() int {
 	return n
 }
 
-// ResetPeaks resets per-machine peak accounting.
-func (c *Cluster) ResetPeaks() {
-	for _, m := range c.Machines {
-		m.ResetPeak()
-	}
-}
-
 // Pod is one schedulable execution slot pinned to a machine. It caches
 // warm containers per slot ID: a reused container skips cold start and —
 // because the plan is static — is guaranteed a collision-free address
 // range (§4.2 "Static vs. Dynamic").
 type Pod struct {
-	ID       int
-	Machine  *memsim.Machine
-	Kernel   *kernel.Kernel
-	cache    map[SlotID]*Container
-	busy     bool
-	used     bool
-	lastBusy simtime.Time
+	ID      int
+	Machine *memsim.Machine
+	Kernel  *kernel.Kernel
+	cache   map[SlotID]*Container
+	busy    bool
+	used    bool
 	// coldStarts counts container creations charged as cold starts on this
 	// pod (Options.ColdStart). Written during worker phases — safe because
 	// a pod is owned by its machine's batch group — and summed on the

@@ -268,7 +268,7 @@ func TestChaosShardTargetedCrash(t *testing.T) {
 // synthetic zombie: after the coordinator recovers (epoch 2), reclamation
 // orders carrying the dead incarnation's epoch 1 sweep every live
 // registration. Fenced kernels refuse them all and the run completes
-// byte-correct; the DisableEpochFence negative control lets the sweep
+// byte-correct; the disableEpochFence negative control lets the sweep
 // destroy the producer's live registration and the run fails.
 func TestChaosCoordinatorEpochFencing(t *testing.T) {
 	// No Recovery: any corruption must surface as a failed run, not be
@@ -288,8 +288,9 @@ func TestChaosCoordinatorEpochFencing(t *testing.T) {
 	plan := faults.Plan{Seed: chaosSeed,
 		CoordCrashes: []faults.CoordCrash{{At: crashAt, RecoverAt: recoverAt}}}
 
-	run := func(opts Options) (RunResult, int, int) {
+	run := func(unfenced bool) (RunResult, int, int) {
 		e := newCoordChaosEngine(t, pipelineWorkflow(1000), plan, opts, 3, 6)
+		e.disableEpochFence = unfenced
 		fenced, executed := 0, 0
 		e.Cluster.Sim.At(staleAt, func() {
 			for _, k := range e.Cluster.Kernels {
@@ -309,7 +310,7 @@ func TestChaosCoordinatorEpochFencing(t *testing.T) {
 		return res, fenced, executed
 	}
 
-	res, fenced, executed := run(opts)
+	res, fenced, executed := run(false)
 	if fenced == 0 {
 		t.Fatalf("stale sweep found no live registration to fence")
 	}
@@ -325,9 +326,7 @@ func TestChaosCoordinatorEpochFencing(t *testing.T) {
 
 	// Negative control: fencing disabled, the same sweep destroys the
 	// producer's live registration and the consumer's map fails the run.
-	nOpts := opts
-	nOpts.DisableEpochFence = true
-	nres, _, nexecuted := run(nOpts)
+	nres, _, nexecuted := run(true)
 	if nexecuted == 0 {
 		t.Fatalf("unfenced sweep executed no reclaims — the control proves nothing")
 	}

@@ -144,7 +144,7 @@ func (e *Engine) armCoordinatorFaults() {
 //     listing omits crashed machines, whose entries drain via the normal
 //     release path.
 //  4. Broadcast the new epoch so every kernel fences commands from the
-//     pre-crash incarnation (skipped under DisableEpochFence — the
+//     pre-crash incarnation (skipped under disableEpochFence — the
 //     negative control where a zombie coordinator can still reclaim).
 //  5. Resume admission.
 func (e *Engine) recoverCoordinator() {
@@ -156,7 +156,7 @@ func (e *Engine) recoverCoordinator() {
 		}
 		e.drainCtrlBacklog()
 		e.coord.Reconcile(e.kernelListings())
-		if !e.opts.DisableEpochFence {
+		if !e.disableEpochFence {
 			epoch := e.coord.Epoch()
 			for i, k := range e.Cluster.Kernels {
 				if !e.Cluster.Machines[i].Crashed() {

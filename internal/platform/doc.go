@@ -1,9 +1,8 @@
 // Package platform is the Knative-like serverless layer of the
 // reproduction: workflow DAGs, the static virtual-memory plan (§4.2), a
 // coordinator that invokes functions and reclaims registered memory, pods
-// with container caching, a concurrency autoscaler, and the function
-// framework that wires RMMAP (or a baseline transport) into unmodified
-// function handlers.
+// with container caching, and the function framework that wires RMMAP (or
+// a baseline transport) into unmodified function handlers.
 //
 // Invariants:
 //

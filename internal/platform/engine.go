@@ -82,8 +82,8 @@ type Engine struct {
 
 	// warmMu guards the warm index's map structure: invocations running
 	// on different machines during a batch's worker phase touch disjoint
-	// slots but share the outer map. Reads (pickPod, autoscaler) happen
-	// only on the simulator thread, never during a worker phase.
+	// slots but share the outer map. Reads (pickPod) happen only on the
+	// simulator thread, never during a worker phase.
 	warmMu sync.Mutex
 
 	// schedSinks journals kernel scheduling requests (replication pushes
@@ -94,12 +94,17 @@ type Engine struct {
 	// event sequence matches the sequential engine's exactly.
 	schedSinks []*execItem
 
-	// MaxRegLifetime drives the pods' lease scanner; 0 disables it.
-	MaxRegLifetime simtime.Duration
+	// maxRegLifetime drives the pods' lease scanner (§4.2's backstop for
+	// registrations the coordinator never reclaims); 0 disables it.
+	maxRegLifetime simtime.Duration
 	scannersLive   bool
 
-	autoscalerLive bool
-	scaleDowns     int
+	// disableEpochFence turns off coordinator-epoch fencing on kernels:
+	// recoveries do not broadcast the bumped epoch and reclamation orders
+	// go out unfenced, so a zombie pre-crash coordinator's stale commands
+	// execute. The negative control for the coordinator chaos tests
+	// (DESIGN.md §13).
+	disableEpochFence bool
 
 	// Failure detector (leases + heartbeats, wired when replication is
 	// on): every HeartbeatPeriod each live kernel probes its peers so a
@@ -341,15 +346,9 @@ func NewEngineOn(cluster *Cluster, wf *Workflow, mode Mode, opts Options, pods i
 	if err := wf.Validate(); err != nil {
 		return nil, err
 	}
-	var plan *Plan
-	var err error
-	if opts.DisablePlan {
-		plan = degeneratePlan(wf)
-	} else {
-		plan, err = GeneratePlan(wf)
-		if err != nil {
-			return nil, err
-		}
+	plan, err := GeneratePlan(wf)
+	if err != nil {
+		return nil, err
 	}
 	cm := cluster.CM
 	e := &Engine{
@@ -378,8 +377,6 @@ func NewEngineOn(cluster *Cluster, wf *Workflow, mode Mode, opts Options, pods i
 		}
 		if opts.NoReadahead {
 			k.SetReadahead(0)
-		} else if opts.ReadaheadWindow > 0 {
-			k.SetReadahead(opts.ReadaheadWindow)
 		}
 	}
 	// Replication + leases: machine i replicates to the next reps machines
@@ -446,21 +443,6 @@ func NewEngineOn(cluster *Cluster, wf *Workflow, mode Mode, opts Options, pods i
 	}
 	e.armCoordinatorFaults()
 	return e, nil
-}
-
-// degeneratePlan gives every slot the same layout — the negative control
-// showing why static planning is required.
-func degeneratePlan(wf *Workflow) *Plan {
-	p := &Plan{Workflow: wf.Name, slots: make(map[SlotID]Layout)}
-	l := layoutFor(Range{PlanBase, PlanBase + DefaultMemBudget})
-	for _, f := range wf.Functions {
-		for i := 0; i < f.Instances; i++ {
-			id := SlotID{f.Name, i}
-			p.slots[id] = l
-			p.order = append(p.order, id)
-		}
-	}
-	return p
 }
 
 // Mode returns the engine's transfer mode.
@@ -541,11 +523,8 @@ func (e *Engine) startRequest(tenant string, deadline simtime.Time, done func(Ru
 			e.queue = append(e.queue, &invocation{req: req, node: nodeKey{src, i}})
 		}
 	}
-	if e.MaxRegLifetime > 0 {
+	if e.maxRegLifetime > 0 {
 		e.startLeaseScanners()
-	}
-	if e.opts.AutoscaleIdle > 0 {
-		e.startAutoscaler()
 	}
 	if e.leasesOn {
 		e.startFailureDetector()
@@ -681,12 +660,12 @@ func (e *Engine) startLeaseScanners() {
 		return
 	}
 	e.scannersLive = true
-	period := e.MaxRegLifetime
+	period := e.maxRegLifetime
 	live := len(e.Cluster.Kernels)
 	for _, k := range e.Cluster.Kernels {
 		k := k
 		e.Cluster.Sim.Every(e.Cluster.Sim.Now().Add(period), period, func() bool {
-			k.ScanExpired(e.MaxRegLifetime)
+			k.ScanExpired(e.maxRegLifetime)
 			// Stop once there is nothing left to watch, so the
 			// simulator's event queue can drain; Submit re-arms.
 			if k.Registrations() == 0 {
@@ -699,65 +678,6 @@ func (e *Engine) startLeaseScanners() {
 			return true
 		})
 	}
-}
-
-// startAutoscaler runs the scale-down loop: every half idle-window, pods
-// idle beyond the window lose their warm containers (and the memory those
-// held) — Knative's KPA scale-to-fewer behaviour. The loop stops once
-// every pod is cold so the event queue can drain; Submit re-arms it.
-func (e *Engine) startAutoscaler() {
-	if e.autoscalerLive {
-		return
-	}
-	e.autoscalerLive = true
-	period := e.opts.AutoscaleIdle / 2
-	if period <= 0 {
-		period = 1
-	}
-	s := e.Cluster.Sim
-	s.Every(s.Now().Add(period), period, func() bool {
-		warm := 0
-		for _, p := range e.pods {
-			if p.busy {
-				warm++
-				continue
-			}
-			if len(p.cache) == 0 {
-				continue
-			}
-			if s.Now().Sub(p.lastBusy) > e.opts.AutoscaleIdle {
-				for slot, c := range p.cache {
-					c.Close()
-					delete(p.cache, slot)
-					e.warmRemove(slot, p)
-				}
-				e.scaleDowns++
-			} else {
-				warm++
-			}
-		}
-		if warm == 0 && len(e.queue) == 0 {
-			e.autoscalerLive = false
-			return false
-		}
-		return true
-	})
-}
-
-// ScaleDowns reports how many pods the autoscaler has deactivated.
-func (e *Engine) ScaleDowns() int { return e.scaleDowns }
-
-// SharedTextBytes reports the memory held by the shared library (text)
-// frame cache — resident even when every container is scaled down, like
-// the OS page cache.
-func (e *Engine) SharedTextBytes() int {
-	e.textMu.Lock()
-	defer e.textMu.Unlock()
-	n := 0
-	for _, pfns := range e.textFrames {
-		n += len(pfns) * memsim.PageSize
-	}
-	return n
 }
 
 // replScheduler returns the deferred-work scheduler wired into machine
@@ -1067,7 +987,6 @@ func (e *Engine) commit(it *execItem) {
 	d := meter.Total()
 	e.Cluster.Sim.After(d, func() {
 		pod.busy = false
-		pod.lastBusy = e.Cluster.Sim.Now()
 		e.podFreed(pod)
 		// Redeliver control-plane operations deferred by an injected
 		// fault or a lifted partition before this completion issues new
@@ -1413,10 +1332,10 @@ func (e *Engine) consume(c *Container, pod *Pod, meter *simtime.Meter, p *stateP
 		}
 		return e.unpickleWithBuffer(c, pod, meter, data)
 	case ModeRMMAP, ModeRMMAPPrefetch:
-		// RmapMeta (not RmapAs) so the mapping knows the registration's
+		// RmapMeta (not Rmap) so the mapping knows the registration's
 		// backup machines: if the producer is already dead the consumer
 		// fails over at rmap time instead of failing outright.
-		mp, err := pod.Kernel.RmapMeta(c.AS, p.meta, typeID(c.Slot.Function), e.opts.PagingMode)
+		mp, err := pod.Kernel.RmapMeta(c.AS, p.meta, typeID(c.Slot.Function), kernel.PagingRDMA)
 		if err != nil {
 			return objrt.Obj{}, err
 		}
@@ -1540,7 +1459,10 @@ func (e *Engine) produce(it *execItem, c *Container, pod *Pod, meter *simtime.Me
 		// The key piggybacks on the coordinator completion event whose
 		// cost InvokeOverhead already covers.
 	case ModeRMMAP, ModeRMMAPPrefetch:
-		start, end := e.opts.registerRange(c)
+		// The whole address space (§6): text through used heap, so objects
+		// referencing library data stay valid remotely. The stack is
+		// excluded: it is dead at return time and would only add pages.
+		start, end := c.Layout.TextStart, c.HeapUsedEnd()
 		// The registration sequence number was pre-assigned on the
 		// simulator thread at batch formation, so ID/key values do not
 		// depend on which invocations end up registering or in what
@@ -1563,21 +1485,11 @@ func (e *Engine) produce(it *execItem, c *Container, pod *Pod, meter *simtime.Me
 		p.meta = meta
 		p.rootAddr = out.Addr
 		if mode == ModeRMMAPPrefetch {
-			if e.opts.AdaptivePrefetch {
-				plan, worth, err := objrt.PlanPrefetchAdaptive(out, meter)
-				if err != nil {
-					return nil, err
-				}
-				if worth {
-					p.prefetch = plan.Pages
-				}
-			} else {
-				plan, err := objrt.PlanPrefetch(out, 0, meter)
-				if err != nil {
-					return nil, err
-				}
-				p.prefetch = plan.Pages
+			plan, err := objrt.PlanPrefetch(out, 0, meter)
+			if err != nil {
+				return nil, err
 			}
+			p.prefetch = plan.Pages
 		}
 		// Meta (addresses, key, prefetch list) piggybacks on the
 		// coordinator completion event, like the storage key above. The
@@ -1676,9 +1588,7 @@ func (e *Engine) deliver(req *request, node nodeKey, payload *statePayload) {
 // so kernels fence a zombie coordinator's stale orders. While the
 // coordinator is down the whole release backlogs — memory stays
 // registered until recovery drains it (or the pods' lease scanners reap
-// it first). Under DropReclamation (coordinator-failure injection) the
-// directory entry is released but the deregister is skipped, leaving
-// cleanup to the lease scanners.
+// it first).
 func (e *Engine) releaseConsumer(p *statePayload) {
 	p.consumers--
 	if p.consumers > 0 {
@@ -1698,11 +1608,8 @@ func (e *Engine) releaseConsumer(p *statePayload) {
 		if err != nil || !last {
 			return // unknown (reconciled away) or a forwarded ref remains
 		}
-		if e.opts.DropReclamation {
-			return // coordinator "crashed": the lease scan must reclaim
-		}
 		k := e.Cluster.Kernels[machine]
-		if e.opts.DisableEpochFence {
+		if e.disableEpochFence {
 			_ = k.DeregisterMem(meta.ID, meta.Key)
 		} else if err := k.DeregisterMemFenced(e.coord.Epoch(), meta.ID, meta.Key); err != nil {
 			return // fenced: a newer incarnation owns this registration

@@ -328,13 +328,30 @@ func TestCrossLanguageFallsBack(t *testing.T) {
 	}
 }
 
+// degeneratePlan gives every slot the same layout — the negative control
+// showing why static planning is required.
+func degeneratePlan(wf *Workflow) *Plan {
+	p := &Plan{Workflow: wf.Name, slots: make(map[SlotID]Layout)}
+	l := layoutFor(Range{PlanBase, PlanBase + DefaultMemBudget})
+	for _, f := range wf.Functions {
+		for i := 0; i < f.Instances; i++ {
+			id := SlotID{f.Name, i}
+			p.slots[id] = l
+			p.order = append(p.order, id)
+		}
+	}
+	return p
+}
+
 func TestDisablePlanBreaksRMMAP(t *testing.T) {
 	// The negative control of §4.2: without address planning, rmap hits
 	// the consumer's own segments and the request fails.
-	e, err := NewEngine(pipelineWorkflow(100), ModeRMMAP, Options{DisablePlan: true}, smallCluster())
+	wf := pipelineWorkflow(100)
+	e, err := NewEngine(wf, ModeRMMAP, Options{}, smallCluster())
 	if err != nil {
 		t.Fatal(err)
 	}
+	e.Plan = degeneratePlan(wf)
 	_, err = e.Run()
 	if err == nil {
 		t.Fatal("rmap run succeeded without an address plan")
@@ -345,10 +362,12 @@ func TestDisablePlanBreaksRMMAP(t *testing.T) {
 }
 
 func TestDisablePlanFineForMessaging(t *testing.T) {
-	e, err := NewEngine(pipelineWorkflow(100), ModeMessaging, Options{DisablePlan: true}, smallCluster())
+	wf := pipelineWorkflow(100)
+	e, err := NewEngine(wf, ModeMessaging, Options{}, smallCluster())
 	if err != nil {
 		t.Fatal(err)
 	}
+	e.Plan = degeneratePlan(wf)
 	if _, err := e.Run(); err != nil {
 		t.Errorf("messaging needs no plan, got %v", err)
 	}
@@ -401,15 +420,6 @@ func TestZeroNetworkOption(t *testing.T) {
 	}
 	if zero.Latency >= normal.Latency {
 		t.Error("zeroing network did not reduce latency")
-	}
-}
-
-func TestHeapScopeCheaperRegister(t *testing.T) {
-	whole := runPipeline(t, ModeRMMAP, Options{Scope: ScopeWholeSpace})
-	heap := runPipeline(t, ModeRMMAP, Options{Scope: ScopeHeapOnly})
-	if heap.Meter.Get(simtime.CatRegister) >= whole.Meter.Get(simtime.CatRegister) {
-		t.Errorf("heap scope (%v) not cheaper than whole space (%v)",
-			heap.Meter.Get(simtime.CatRegister), whole.Meter.Get(simtime.CatRegister))
 	}
 }
 

@@ -4,24 +4,39 @@ import (
 	"errors"
 	"testing"
 
+	"rmmap/internal/faults"
 	"rmmap/internal/objrt"
 	"rmmap/internal/simtime"
 )
 
 // Fault injection: coordinator failure and lease-based reclamation (§4.2).
 
-func TestLeaseScanReclaimsAfterCoordinatorFailure(t *testing.T) {
-	e, err := NewEngine(pipelineWorkflow(500), ModeRMMAP,
-		Options{DropReclamation: true}, smallCluster())
+// coordDownEngine builds the pipeline on a chaos cluster whose coordinator
+// crashes just after submission and never recovers: finished states are
+// never explicitly deregistered, so only the pods' lease scanners (when
+// maxRegLifetime is set) can reclaim registered memory.
+func coordDownEngine(t *testing.T) *Engine {
+	t.Helper()
+	plan := faults.Plan{CoordCrashes: []faults.CoordCrash{{At: 1}}}
+	cl := NewChaosCluster(3, simtime.DefaultCostModel(), plan, faults.DefaultRetryPolicy())
+	e, err := NewEngineOn(cl, pipelineWorkflow(500), ModeRMMAP, Options{}, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.MaxRegLifetime = 200 * simtime.Millisecond
-	// Run() drains the simulator: with the coordinator's reclamation
-	// dropped, the run only finishes once the pods' lease scanners have
-	// swept the orphaned registrations (maximum lifetime + grace).
+	return e
+}
+
+func TestLeaseScanReclaimsAfterCoordinatorFailure(t *testing.T) {
+	e := coordDownEngine(t)
+	e.maxRegLifetime = 200 * simtime.Millisecond
+	// Run() drains the simulator: with the coordinator down, the run only
+	// finishes once the pods' lease scanners have swept the orphaned
+	// registrations (maximum lifetime + grace).
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
+	}
+	if !e.Coordinator().Down() {
+		t.Fatal("coordinator recovered without a RecoverAt")
 	}
 	for i, k := range e.Cluster.Kernels {
 		if k.Registrations() != 0 {
@@ -33,13 +48,9 @@ func TestLeaseScanReclaimsAfterCoordinatorFailure(t *testing.T) {
 }
 
 func TestNoLeaseScanLeaksWithoutCoordinator(t *testing.T) {
-	// Negative control: with reclamation dropped and no lease scanner,
+	// Negative control: with the coordinator down and no lease scanner,
 	// registered memory leaks — demonstrating why §4.2 needs the scan.
-	e, err := NewEngine(pipelineWorkflow(500), ModeRMMAP,
-		Options{DropReclamation: true}, smallCluster())
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := coordDownEngine(t)
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
 	}

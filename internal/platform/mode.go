@@ -8,9 +8,7 @@ import (
 	"strings"
 
 	"rmmap/internal/admit"
-	"rmmap/internal/kernel"
 	"rmmap/internal/obs"
-	"rmmap/internal/simtime"
 )
 
 // Mode selects the state-transfer mechanism for a run — the comparison
@@ -83,36 +81,12 @@ func ParseMode(s string) (Mode, error) {
 		s, AllModes(), slices.Sorted(maps.Keys(modeAliases)))
 }
 
-// RegisterScope selects what the producer registers (§6 "Map the heap vs.
-// Map the whole address space").
-type RegisterScope int
-
-const (
-	// ScopeWholeSpace registers text+data+heap — the paper's final
-	// choice, safe for objects that reference non-heap locations.
-	ScopeWholeSpace RegisterScope = iota
-	// ScopeHeapOnly registers just the used heap — cheaper to mark but
-	// unsafe in general (the abl-segment ablation).
-	ScopeHeapOnly
-)
-
 // Options tune a run; the zero value is the paper's default configuration.
 type Options struct {
 	// ZeroNetwork zeroes messaging/storage protocol costs (Fig 5).
 	ZeroNetwork bool
-	// AdaptivePrefetch enables the sampling policy (§4.4 future work):
-	// producers decide per state whether traversal-based prefetching
-	// pays off, falling back to demand paging for object-dense graphs.
-	AdaptivePrefetch bool
-	// PagingMode switches remote paging to RPC (Fig 15 ablation).
-	PagingMode kernel.PagingMode
-	// Scope selects the register range.
-	Scope RegisterScope
 	// ColdStart disables pre-warming (functions pay container creation).
 	ColdStart bool
-	// DisablePlan skips address planning, giving every container the
-	// same default layout — the negative control where rmap collides.
-	DisablePlan bool
 	// Trace records per-invocation spans into RunResult.Trace.
 	Trace bool
 	// Obs, when non-nil, receives every completed request's counters and
@@ -120,11 +94,6 @@ type Options struct {
 	// engine only writes to it at collection time — observation, never
 	// behavior.
 	Obs *obs.Registry
-	// AutoscaleIdle enables Knative-style scale-down: a pod idle for
-	// longer than this window is deactivated (its warm containers and
-	// their memory released). Zero disables scale-down; pods then stay
-	// warm forever, like the paper's pre-warmed experiments.
-	AutoscaleIdle simtime.Duration
 	// Compress DEFLATEs messaging payloads before the cloudevent wrap —
 	// the §6 trade-off the abl-compress experiment quantifies.
 	Compress bool
@@ -133,11 +102,6 @@ type Options struct {
 	// input through unchanged, the upstream registration is forwarded to
 	// the next consumer instead of deep-copied.
 	ForwardRemote bool
-	// DropReclamation injects a coordinator failure: finished states are
-	// never explicitly deregistered, so only the pods' lease scanners
-	// (§4.2) reclaim registered memory. Requires MaxRegLifetime on the
-	// engine for cleanup to happen.
-	DropReclamation bool
 	// Recovery enables the failure-handling ladder (retry → degradation →
 	// re-execution, see RecoveryPolicy). nil means any transfer failure
 	// fails the request — the negative control for the chaos experiments.
@@ -149,12 +113,6 @@ type Options struct {
 	// starts every request immediately, exactly the pre-admission
 	// behaviour.
 	Admission *admit.Config
-	// DisableEpochFence turns off coordinator-epoch fencing on kernels:
-	// recoveries do not broadcast the bumped epoch and reclamation orders
-	// go out unfenced, so a zombie pre-crash coordinator's stale commands
-	// execute. The negative control for the coordinator chaos experiments
-	// (DESIGN.md §13) — never set it outside them.
-	DisableEpochFence bool
 	// Replicas asynchronously replicates every registration's shadow
 	// frames to this many backup machines (clipped to machines-1) and
 	// turns on lease-based liveness tracking: consumers of a crashed
@@ -171,9 +129,6 @@ type Options struct {
 	// NoReadahead disables fault-coalescing readahead; default is an
 	// adaptive window capped at kernel.DefaultReadaheadMax pages.
 	NoReadahead bool
-	// ReadaheadWindow overrides the maximum readahead window in pages
-	// (0 = kernel.DefaultReadaheadMax).
-	ReadaheadWindow int
 	// RackLocal enables rack-locality-aware placement on multi-rack
 	// clusters: an invocation whose first input arrives by rmap prefers a
 	// free pod in the producer's rack, so demand faults stay under one
@@ -193,8 +148,8 @@ type Options struct {
 // this estimated wire size, serializing is cheaper than register+rmap.
 const DefaultSmallState = 512
 
-// DefaultTextPages is the resident library footprint (4 MB) CoW-marked in
-// whole-space scope.
+// DefaultTextPages is the resident library footprint (4 MB) that every
+// producer registers, and CoW-marks, along with its used heap.
 const DefaultTextPages = 1024
 
 // replicas resolves the effective backup count on an n-machine cluster.
@@ -215,14 +170,4 @@ func (o Options) workerCount() int {
 		return o.Workers
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-// registerRange returns what the producer registers under the scope.
-func (o Options) registerRange(c *Container) (uint64, uint64) {
-	if o.Scope == ScopeHeapOnly {
-		return c.Layout.HeapStart, c.HeapUsedEnd()
-	}
-	// Whole space: text through used heap (stack excluded: it is dead at
-	// return time, and registering it would only add pages).
-	return c.Layout.TextStart, c.HeapUsedEnd()
 }

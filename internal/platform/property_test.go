@@ -303,7 +303,6 @@ func TestRandomDAGsAgreeAcrossModes(t *testing.T) {
 				run(mode.String(), mode, Options{})
 			}
 			run("rmmap+forward", ModeRMMAP, Options{ForwardRemote: true})
-			run("rmmap+adaptive", ModeRMMAPPrefetch, Options{AdaptivePrefetch: true})
 
 			want := results["messaging"]
 			if want == nil {

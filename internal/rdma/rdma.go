@@ -83,14 +83,11 @@ type SimFabric struct {
 	handlers atomic.Pointer[map[memsim.MachineID]map[string]Handler]
 
 	// Telemetry for the factor analysis and ablations.
-	reads        atomic.Int64
-	batchReads   atomic.Int64
-	batchPages   atomic.Int64
-	rpcs         atomic.Int64
-	bytesRead    atomic.Int64
-	batchWrites  atomic.Int64
-	writePages   atomic.Int64
-	bytesWritten atomic.Int64
+	reads      atomic.Int64
+	batchReads atomic.Int64
+	batchPages atomic.Int64
+	rpcs       atomic.Int64
+	bytesRead  atomic.Int64
 }
 
 // NewSimFabric returns an empty fabric charging from cm.
@@ -144,12 +141,6 @@ func (f *SimFabric) Stats() (reads, batches, rpcs int, bytesRead int64) {
 // doorbell batches — reads+BatchPages is the fabric's total page count.
 func (f *SimFabric) BatchPages() int { return int(f.batchPages.Load()) }
 
-// WriteStats reports cumulative one-sided write activity: doorbell write
-// batches, pages carried inside them, and total bytes pushed.
-func (f *SimFabric) WriteStats() (batches, pages int, bytesWritten int64) {
-	return int(f.batchWrites.Load()), int(f.writePages.Load()), f.bytesWritten.Load()
-}
-
 // ResetStats zeroes the telemetry counters.
 func (f *SimFabric) ResetStats() {
 	f.reads.Store(0)
@@ -157,9 +148,6 @@ func (f *SimFabric) ResetStats() {
 	f.batchPages.Store(0)
 	f.rpcs.Store(0)
 	f.bytesRead.Store(0)
-	f.batchWrites.Store(0)
-	f.writePages.Store(0)
-	f.bytesWritten.Store(0)
 }
 
 func (f *SimFabric) machine(id memsim.MachineID) (*memsim.Machine, error) {
@@ -311,9 +299,6 @@ func (n *NIC) WritePagesCat(m *simtime.Meter, cat simtime.Category, target memsi
 			base+
 				simtime.Scale(cm.DoorbellPerPage, len(reqs))+
 				simtime.Bytes(total, cm.RDMAPerByte))
-		n.fabric.batchWrites.Add(1)
-		n.fabric.writePages.Add(int64(len(reqs)))
-		n.fabric.bytesWritten.Add(int64(total))
 	}
 	for _, r := range reqs {
 		if len(r.Data) > memsim.PageSize {

@@ -1,6 +1,6 @@
 // Package sim is a small deterministic discrete-event simulator. The
 // serverless platform uses it to model concurrent pods, open-loop clients,
-// and the Knative-style autoscaler in virtual time.
+// lease scanners and failure-detector rounds in virtual time.
 //
 // Events are closures ordered by (time, sequence number); the sequence
 // number makes simultaneous events fire in scheduling order, so runs are

@@ -93,7 +93,7 @@ func (s *Simulator) Pending() int { return len(s.queue) }
 
 // Every schedules fn to run repeatedly with the given period starting at
 // start, until it returns false. It is used for lease scanners and
-// autoscaler ticks.
+// failure-detector rounds.
 func (s *Simulator) Every(start simtime.Time, period simtime.Duration, fn func() bool) {
 	if period <= 0 {
 		panic("sim: Every requires positive period")
