@@ -8,6 +8,7 @@ import (
 
 	"rmmap/internal/objrt"
 	"rmmap/internal/simtime"
+	"rmmap/internal/wire"
 )
 
 // ColKind is a column's physical type.
@@ -127,20 +128,20 @@ func (b *RecordBatch) Wire(meter *simtime.Meter, cm *simtime.CostModel) []byte {
 	}
 	out := make([]byte, 0, size)
 	out = append(out, "ARRW1"...)
-	out = appendU32(out, uint32(b.Rows))
-	out = appendU32(out, uint32(len(b.Cols)))
+	out = binary.LittleEndian.AppendUint32(out, uint32(b.Rows))
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(b.Cols)))
 	for _, c := range b.Cols {
 		out = append(out, byte(c.Kind))
-		out = appendU16(out, uint16(len(c.Name)))
+		out = binary.LittleEndian.AppendUint16(out, uint16(len(c.Name)))
 		out = append(out, c.Name...)
 		switch c.Kind {
 		case KindFloat64:
 			for _, v := range c.Floats {
-				out = appendU64(out, math.Float64bits(v))
+				out = binary.LittleEndian.AppendUint64(out, math.Float64bits(v))
 			}
 		case KindString:
 			for _, o := range c.Offsets {
-				out = appendU32(out, o)
+				out = binary.LittleEndian.AppendUint32(out, o)
 			}
 			out = append(out, c.Bytes...)
 		}
@@ -154,57 +155,43 @@ func (b *RecordBatch) Wire(meter *simtime.Meter, cm *simtime.CostModel) []byte {
 // parse — this is Arrow's receive-side selling point, and why it beats
 // pickle while still losing to RMMAP (which skips Encode too).
 func FromWire(data []byte) (*RecordBatch, error) {
-	if len(data) < 13 || string(data[:5]) != "ARRW1" {
+	r := wire.NewReader(data)
+	if string(r.Bytes(5)) != "ARRW1" {
 		return nil, fmt.Errorf("%w: missing magic", ErrWire)
 	}
-	p := 5
-	rows := int(binary.LittleEndian.Uint32(data[p:]))
-	ncols := int(binary.LittleEndian.Uint32(data[p+4:]))
-	p += 8
-	b := &RecordBatch{Rows: rows}
-	for c := 0; c < ncols; c++ {
-		if p+3 > len(data) {
-			return nil, fmt.Errorf("%w: truncated column header", ErrWire)
-		}
-		kind := ColKind(data[p])
-		nameLen := int(binary.LittleEndian.Uint16(data[p+1:]))
-		p += 3
-		if p+nameLen > len(data) {
-			return nil, fmt.Errorf("%w: truncated name", ErrWire)
-		}
-		col := Column{Name: string(data[p : p+nameLen]), Kind: kind}
-		p += nameLen
-		switch kind {
+	rows := r.U32()
+	b := &RecordBatch{Rows: int(rows)}
+	b.Cols = make([]Column, r.Count(uint64(r.U32()), 3))
+	for c := range b.Cols {
+		col := &b.Cols[c]
+		col.Kind = ColKind(r.U8())
+		col.Name = string(r.Bytes(int(r.U16())))
+		switch col.Kind {
 		case KindFloat64:
-			need := 8 * rows
-			if p+need > len(data) {
-				return nil, fmt.Errorf("%w: truncated floats", ErrWire)
-			}
-			col.Floats = make([]float64, rows)
+			col.Floats = make([]float64, r.Count(uint64(rows), 8))
 			for i := range col.Floats {
-				col.Floats[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[p+8*i:]))
+				col.Floats[i] = math.Float64frombits(r.U64())
 			}
-			p += need
 		case KindString:
-			need := 4 * (rows + 1)
-			if p+need > len(data) {
-				return nil, fmt.Errorf("%w: truncated offsets", ErrWire)
-			}
-			col.Offsets = make([]uint32, rows+1)
+			// Offsets never decrease and the last is the byte count, so
+			// every cell Str slices lies within Bytes.
+			col.Offsets = make([]uint32, r.Count(uint64(rows)+1, 4))
+			last := uint32(0)
 			for i := range col.Offsets {
-				col.Offsets[i] = binary.LittleEndian.Uint32(data[p+4*i:])
+				if col.Offsets[i] = r.U32(); col.Offsets[i] < last {
+					return nil, fmt.Errorf("%w: column %d: string offset %d decreases", ErrWire, c, i)
+				}
+				last = col.Offsets[i]
 			}
-			p += need
-			blen := int(col.Offsets[rows])
-			if p+blen > len(data) {
-				return nil, fmt.Errorf("%w: truncated string bytes", ErrWire)
-			}
-			col.Bytes = data[p : p+blen] // zero-copy alias
-			p += blen
+			col.Bytes = r.Bytes(int(last)) // zero-copy alias
 		default:
-			return nil, fmt.Errorf("%w: kind %d", ErrWire, kind)
+			if r.Err() == nil {
+				return nil, fmt.Errorf("%w: column %d kind %d", ErrWire, c, col.Kind)
+			}
 		}
-		b.Cols = append(b.Cols, col)
+	}
+	if !r.Done() {
+		return nil, fmt.Errorf("%w: batch truncated or followed by trailing bytes", ErrWire)
 	}
 	return b, nil
 }
@@ -228,12 +215,4 @@ func (c *Column) Str(i int) (string, error) {
 		return "", fmt.Errorf("arrow: row %d out of range", i)
 	}
 	return string(c.Bytes[c.Offsets[i]:c.Offsets[i+1]]), nil
-}
-
-func appendU16(b []byte, v uint16) []byte { return append(b, byte(v), byte(v>>8)) }
-func appendU32(b []byte, v uint32) []byte {
-	return append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-}
-func appendU64(b []byte, v uint64) []byte {
-	return appendU32(appendU32(b, uint32(v)), uint32(v>>32))
 }

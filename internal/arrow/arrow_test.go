@@ -72,6 +72,8 @@ func TestFromWireRejectsGarbage(t *testing.T) {
 		nil,
 		[]byte("XXXXX"),
 		[]byte("ARRW1\x01\x00\x00\x00\x01\x00\x00\x00"), // truncated column
+		// String offsets [5, 1] go backwards: Str(0) used to panic.
+		[]byte("ARRW1\x01\x00\x00\x00\x01\x00\x00\x00\x02\x01\x00s\x05\x00\x00\x00\x01\x00\x00\x00x"),
 	}
 	for i, data := range cases {
 		if _, err := FromWire(data); err == nil {

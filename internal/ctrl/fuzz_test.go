@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"reflect"
 	"testing"
 )
 
@@ -17,6 +18,8 @@ import (
 //     byte (decode is the inverse of encode on the valid prefix).
 //   - Errors are always *CorruptError with an in-range position.
 //   - LoadState tolerates arbitrary journal tails after a valid header.
+//   - DecodeRecords agrees with its pre-port oracle (oracle_test.go) on
+//     the records, the clean offset and the error, byte for byte.
 func FuzzJournal(f *testing.F) {
 	// Seed corpus: a valid multi-record journal, its truncations at every
 	// interesting boundary, and corrupt length prefixes — mirroring the
@@ -61,6 +64,11 @@ func FuzzJournal(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		recs, clean, err := DecodeRecords(data)
+		oldRecs, oldClean, oldErr := oldDecodeRecords(data)
+		if !reflect.DeepEqual(recs, oldRecs) || clean != oldClean || !reflect.DeepEqual(err, oldErr) {
+			t.Fatalf("DecodeRecords (%d recs, clean %d, err %v) != oracle (%d recs, clean %d, err %v)",
+				len(recs), clean, err, len(oldRecs), oldClean, oldErr)
+		}
 		if clean < 0 || clean > len(data) {
 			t.Fatalf("clean offset %d out of range [0,%d]", clean, len(data))
 		}

@@ -3,6 +3,8 @@ package ctrl
 import (
 	"encoding/binary"
 	"fmt"
+
+	"rmmap/internal/wire"
 )
 
 // Write-ahead journal codec.
@@ -121,56 +123,52 @@ func fnv32a(b []byte) uint32 {
 	return h
 }
 
-func appendU16(b []byte, v uint16) []byte { return binary.LittleEndian.AppendUint16(b, v) }
-func appendU32(b []byte, v uint32) []byte { return binary.LittleEndian.AppendUint32(b, v) }
-func appendU64(b []byte, v uint64) []byte { return binary.LittleEndian.AppendUint64(b, v) }
-
 // encodeBody serializes a record body (kind byte + kind-specific fields).
 func encodeBody(r Record) ([]byte, error) {
 	b := []byte{byte(r.Kind)}
 	switch r.Kind {
 	case RecEpoch:
-		b = appendU64(b, r.Epoch)
+		b = binary.LittleEndian.AppendUint64(b, r.Epoch)
 	case RecSlot:
 		if len(r.Slot.Fn) > 0xffff {
 			return nil, fmt.Errorf("ctrl: slot function name %d bytes", len(r.Slot.Fn))
 		}
-		b = appendU16(b, uint16(len(r.Slot.Fn)))
+		b = binary.LittleEndian.AppendUint16(b, uint16(len(r.Slot.Fn)))
 		b = append(b, r.Slot.Fn...)
-		b = appendU32(b, uint32(r.Slot.Inst))
-		b = appendU64(b, r.Slot.Start)
-		b = appendU64(b, r.Slot.End)
+		b = binary.LittleEndian.AppendUint32(b, uint32(r.Slot.Inst))
+		b = binary.LittleEndian.AppendUint64(b, r.Slot.Start)
+		b = binary.LittleEndian.AppendUint64(b, r.Slot.End)
 	case RecPlace:
-		b = appendU32(b, uint32(r.Pod))
-		b = appendU32(b, uint32(r.Machine))
+		b = binary.LittleEndian.AppendUint32(b, uint32(r.Pod))
+		b = binary.LittleEndian.AppendUint32(b, uint32(r.Machine))
 	case RecRegister:
-		b = appendU64(b, r.Ref.ID)
-		b = appendU64(b, r.Ref.Key)
-		b = appendU32(b, uint32(r.Machine))
+		b = binary.LittleEndian.AppendUint64(b, r.Ref.ID)
+		b = binary.LittleEndian.AppendUint64(b, r.Ref.Key)
+		b = binary.LittleEndian.AppendUint32(b, uint32(r.Machine))
 		if len(r.Allowed) > 0xffff {
 			return nil, fmt.Errorf("ctrl: %d allowed consumers", len(r.Allowed))
 		}
-		b = appendU16(b, uint16(len(r.Allowed)))
+		b = binary.LittleEndian.AppendUint16(b, uint16(len(r.Allowed)))
 		for _, a := range r.Allowed {
-			b = appendU64(b, a)
+			b = binary.LittleEndian.AppendUint64(b, a)
 		}
 	case RecACL:
-		b = appendU64(b, r.Ref.ID)
-		b = appendU64(b, r.Ref.Key)
+		b = binary.LittleEndian.AppendUint64(b, r.Ref.ID)
+		b = binary.LittleEndian.AppendUint64(b, r.Ref.Key)
 		if len(r.Allowed) > 0xffff {
 			return nil, fmt.Errorf("ctrl: %d allowed consumers", len(r.Allowed))
 		}
-		b = appendU16(b, uint16(len(r.Allowed)))
+		b = binary.LittleEndian.AppendUint16(b, uint16(len(r.Allowed)))
 		for _, a := range r.Allowed {
-			b = appendU64(b, a)
+			b = binary.LittleEndian.AppendUint64(b, a)
 		}
 	case RecAddRef, RecRelease:
-		b = appendU64(b, r.Ref.ID)
-		b = appendU64(b, r.Ref.Key)
+		b = binary.LittleEndian.AppendUint64(b, r.Ref.ID)
+		b = binary.LittleEndian.AppendUint64(b, r.Ref.Key)
 	case RecReclaim:
-		b = appendU64(b, r.Ref.ID)
-		b = appendU64(b, r.Ref.Key)
-		b = appendU32(b, uint32(r.Machine))
+		b = binary.LittleEndian.AppendUint64(b, r.Ref.ID)
+		b = binary.LittleEndian.AppendUint64(b, r.Ref.Key)
+		b = binary.LittleEndian.AppendUint32(b, uint32(r.Machine))
 	default:
 		return nil, fmt.Errorf("ctrl: unknown record kind %d", r.Kind)
 	}
@@ -184,123 +182,59 @@ func EncodeRecord(r Record) ([]byte, error) {
 		return nil, err
 	}
 	out := make([]byte, 0, len(body)+8)
-	out = appendU32(out, uint32(len(body)))
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(body)))
 	out = append(out, body...)
-	out = appendU32(out, fnv32a(body))
+	out = binary.LittleEndian.AppendUint32(out, fnv32a(body))
 	return out, nil
 }
 
-// bodyReader is a bounds-checked little-endian cursor over one record body.
-type bodyReader struct {
-	b   []byte
-	pos int
-	err bool
-}
-
-func (r *bodyReader) u8() uint8 {
-	if r.err || r.pos+1 > len(r.b) {
-		r.err = true
-		return 0
-	}
-	v := r.b[r.pos]
-	r.pos++
-	return v
-}
-
-func (r *bodyReader) u16() uint16 {
-	if r.err || r.pos+2 > len(r.b) {
-		r.err = true
-		return 0
-	}
-	v := binary.LittleEndian.Uint16(r.b[r.pos:])
-	r.pos += 2
-	return v
-}
-
-func (r *bodyReader) u32() uint32 {
-	if r.err || r.pos+4 > len(r.b) {
-		r.err = true
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(r.b[r.pos:])
-	r.pos += 4
-	return v
-}
-
-func (r *bodyReader) u64() uint64 {
-	if r.err || r.pos+8 > len(r.b) {
-		r.err = true
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(r.b[r.pos:])
-	r.pos += 8
-	return v
-}
-
-func (r *bodyReader) str(n int) string {
-	if r.err || n < 0 || r.pos+n > len(r.b) {
-		r.err = true
-		return ""
-	}
-	s := string(r.b[r.pos : r.pos+n])
-	r.pos += n
-	return s
-}
-
-func (r *bodyReader) u64s(n int) []uint64 {
-	if r.err || n < 0 || r.pos+8*n > len(r.b) {
-		r.err = true
-		return nil
-	}
-	out := make([]uint64, n)
-	for i := range out {
-		out[i] = r.u64()
-	}
-	return out
-}
-
-// done reports whether the body was consumed exactly, with no read errors.
-func (r *bodyReader) done() bool { return !r.err && r.pos == len(r.b) }
-
 // decodeBody parses one record body.
 func decodeBody(body []byte) (Record, error) {
-	r := &bodyReader{b: body}
-	rec := Record{Kind: RecordKind(r.u8())}
+	r := wire.NewReader(body)
+	rec := Record{Kind: RecordKind(r.U8())}
 	switch rec.Kind {
 	case RecEpoch:
-		rec.Epoch = r.u64()
+		rec.Epoch = r.U64()
 	case RecSlot:
-		n := int(r.u16())
-		rec.Slot.Fn = r.str(n)
-		rec.Slot.Inst = int(int32(r.u32()))
-		rec.Slot.Start = r.u64()
-		rec.Slot.End = r.u64()
+		rec.Slot.Fn = string(r.Bytes(int(r.U16())))
+		rec.Slot.Inst = int(int32(r.U32()))
+		rec.Slot.Start = r.U64()
+		rec.Slot.End = r.U64()
 	case RecPlace:
-		rec.Pod = int(int32(r.u32()))
-		rec.Machine = int(int32(r.u32()))
+		rec.Pod = int(int32(r.U32()))
+		rec.Machine = int(int32(r.U32()))
 	case RecRegister:
-		rec.Ref.ID = r.u64()
-		rec.Ref.Key = r.u64()
-		rec.Machine = int(int32(r.u32()))
-		rec.Allowed = r.u64s(int(r.u16()))
+		rec.Ref.ID = r.U64()
+		rec.Ref.Key = r.U64()
+		rec.Machine = int(int32(r.U32()))
+		rec.Allowed = readAllowed(&r)
 	case RecACL:
-		rec.Ref.ID = r.u64()
-		rec.Ref.Key = r.u64()
-		rec.Allowed = r.u64s(int(r.u16()))
+		rec.Ref.ID = r.U64()
+		rec.Ref.Key = r.U64()
+		rec.Allowed = readAllowed(&r)
 	case RecAddRef, RecRelease:
-		rec.Ref.ID = r.u64()
-		rec.Ref.Key = r.u64()
+		rec.Ref.ID = r.U64()
+		rec.Ref.Key = r.U64()
 	case RecReclaim:
-		rec.Ref.ID = r.u64()
-		rec.Ref.Key = r.u64()
-		rec.Machine = int(int32(r.u32()))
+		rec.Ref.ID = r.U64()
+		rec.Ref.Key = r.U64()
+		rec.Machine = int(int32(r.U32()))
 	default:
 		return Record{}, fmt.Errorf("unknown record kind %d", uint8(rec.Kind))
 	}
-	if !r.done() {
+	if !r.Done() {
 		return Record{}, fmt.Errorf("record kind %v: body length %d malformed", rec.Kind, len(body))
 	}
 	return rec, nil
+}
+
+// readAllowed reads a u16-counted list of consumer ids.
+func readAllowed(r *wire.Reader) []uint64 {
+	out := make([]uint64, r.Count(uint64(r.U16()), 8))
+	for i := range out {
+		out[i] = r.U64()
+	}
+	return out
 }
 
 // DecodeRecords parses a journal byte stream. It returns the complete
@@ -310,21 +244,21 @@ func decodeBody(body []byte) (Record, error) {
 // and offset still describe the valid prefix.
 func DecodeRecords(data []byte) ([]Record, int, error) {
 	var recs []Record
-	pos := 0
+	r := wire.NewReader(data)
 	for {
-		if len(data)-pos < 4 {
+		pos := r.Pos()
+		if r.Len() < 4 {
 			return recs, pos, nil // truncated length prefix: clean crash point
 		}
-		n := int(binary.LittleEndian.Uint32(data[pos:]))
+		n := int(r.U32())
 		if n == 0 || n > MaxRecordLen {
 			return recs, pos, &CorruptError{Pos: pos, Reason: fmt.Sprintf("length prefix %d outside (0, %d]", n, MaxRecordLen)}
 		}
-		if len(data)-pos < 4+n+4 {
+		if r.Len() < n+4 {
 			return recs, pos, nil // truncated body or checksum: clean crash point
 		}
-		body := data[pos+4 : pos+4+n]
-		crc := binary.LittleEndian.Uint32(data[pos+4+n:])
-		if got := fnv32a(body); got != crc {
+		body := r.Bytes(n)
+		if got, crc := fnv32a(body), r.U32(); got != crc {
 			return recs, pos, &CorruptError{Pos: pos, Reason: fmt.Sprintf("checksum %08x != %08x", got, crc)}
 		}
 		rec, err := decodeBody(body)
@@ -332,6 +266,5 @@ func DecodeRecords(data []byte) ([]Record, int, error) {
 			return recs, pos, &CorruptError{Pos: pos, Reason: err.Error()}
 		}
 		recs = append(recs, rec)
-		pos += 4 + n + 4
 	}
 }

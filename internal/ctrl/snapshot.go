@@ -1,8 +1,11 @@
 package ctrl
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
+
+	"rmmap/internal/wire"
 )
 
 // Snapshot codec. A snapshot is a full serialization of coordinator State
@@ -105,15 +108,15 @@ func (s *State) apply(r Record) {
 // EncodeSnapshot serializes the state in canonical order.
 func EncodeSnapshot(s *State) []byte {
 	b := []byte(snapMagic)
-	b = appendU64(b, s.Epoch)
+	b = binary.LittleEndian.AppendUint64(b, s.Epoch)
 
-	b = appendU32(b, uint32(len(s.Slots)))
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(s.Slots)))
 	for _, sl := range s.Slots {
-		b = appendU16(b, uint16(len(sl.Fn)))
+		b = binary.LittleEndian.AppendUint16(b, uint16(len(sl.Fn)))
 		b = append(b, sl.Fn...)
-		b = appendU32(b, uint32(sl.Inst))
-		b = appendU64(b, sl.Start)
-		b = appendU64(b, sl.End)
+		b = binary.LittleEndian.AppendUint32(b, uint32(sl.Inst))
+		b = binary.LittleEndian.AppendUint64(b, sl.Start)
+		b = binary.LittleEndian.AppendUint64(b, sl.End)
 	}
 
 	refs := make([]RegRef, 0, len(s.Regs))
@@ -126,16 +129,16 @@ func EncodeSnapshot(s *State) []byte {
 		}
 		return refs[i].Key < refs[j].Key
 	})
-	b = appendU32(b, uint32(len(refs)))
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(refs)))
 	for _, ref := range refs {
 		reg := s.Regs[ref]
-		b = appendU64(b, ref.ID)
-		b = appendU64(b, ref.Key)
-		b = appendU32(b, uint32(reg.Machine))
-		b = appendU32(b, uint32(reg.Refs))
-		b = appendU16(b, uint16(len(reg.Allowed)))
+		b = binary.LittleEndian.AppendUint64(b, ref.ID)
+		b = binary.LittleEndian.AppendUint64(b, ref.Key)
+		b = binary.LittleEndian.AppendUint32(b, uint32(reg.Machine))
+		b = binary.LittleEndian.AppendUint32(b, uint32(reg.Refs))
+		b = binary.LittleEndian.AppendUint16(b, uint16(len(reg.Allowed)))
 		for _, a := range reg.Allowed {
-			b = appendU64(b, a)
+			b = binary.LittleEndian.AppendUint64(b, a)
 		}
 	}
 
@@ -144,64 +147,64 @@ func EncodeSnapshot(s *State) []byte {
 		pods = append(pods, p)
 	}
 	sort.Ints(pods)
-	b = appendU32(b, uint32(len(pods)))
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(pods)))
 	for _, p := range pods {
-		b = appendU32(b, uint32(p))
-		b = appendU32(b, uint32(s.Places[p]))
+		b = binary.LittleEndian.AppendUint32(b, uint32(p))
+		b = binary.LittleEndian.AppendUint32(b, uint32(s.Places[p]))
 	}
 	return b
 }
 
 // DecodeSnapshot parses a snapshot back into a State.
 func DecodeSnapshot(data []byte) (*State, error) {
-	if len(data) < len(snapMagic) || string(data[:len(snapMagic)]) != snapMagic {
+	r := wire.NewReader(data)
+	if string(r.Bytes(len(snapMagic))) != snapMagic {
 		return nil, &CorruptError{Pos: 0, Reason: "bad snapshot magic"}
 	}
-	r := &bodyReader{b: data, pos: len(snapMagic)}
 	s := NewState()
-	s.Epoch = r.u64()
+	s.Epoch = r.U64()
 
-	nslots := int(r.u32())
-	for i := 0; i < nslots && !r.err; i++ {
+	nslots := int(r.U32())
+	for i := 0; i < nslots && r.Err() == nil; i++ {
 		var sl PlanSlot
-		sl.Fn = r.str(int(r.u16()))
-		sl.Inst = int(int32(r.u32()))
-		sl.Start = r.u64()
-		sl.End = r.u64()
-		if r.err {
+		sl.Fn = string(r.Bytes(int(r.U16())))
+		sl.Inst = int(int32(r.U32()))
+		sl.Start = r.U64()
+		sl.End = r.U64()
+		if r.Err() != nil {
 			break
 		}
 		s.slotIndex[slotKey{sl.Fn, sl.Inst}] = len(s.Slots)
 		s.Slots = append(s.Slots, sl)
 	}
 
-	nregs := int(r.u32())
-	for i := 0; i < nregs && !r.err; i++ {
+	nregs := int(r.U32())
+	for i := 0; i < nregs && r.Err() == nil; i++ {
 		var ref RegRef
-		ref.ID = r.u64()
-		ref.Key = r.u64()
+		ref.ID = r.U64()
+		ref.Key = r.U64()
 		reg := &Registration{}
-		reg.Machine = int(int32(r.u32()))
-		reg.Refs = int(int32(r.u32()))
-		reg.Allowed = r.u64s(int(r.u16()))
-		if r.err {
+		reg.Machine = int(int32(r.U32()))
+		reg.Refs = int(int32(r.U32()))
+		reg.Allowed = readAllowed(&r)
+		if r.Err() != nil {
 			break
 		}
 		s.Regs[ref] = reg
 	}
 
-	nplaces := int(r.u32())
-	for i := 0; i < nplaces && !r.err; i++ {
-		pod := int(int32(r.u32()))
-		m := int(int32(r.u32()))
-		if r.err {
+	nplaces := int(r.U32())
+	for i := 0; i < nplaces && r.Err() == nil; i++ {
+		pod := int(int32(r.U32()))
+		m := int(int32(r.U32()))
+		if r.Err() != nil {
 			break
 		}
 		s.Places[pod] = m
 	}
 
-	if !r.done() {
-		return nil, &CorruptError{Pos: r.pos, Reason: "snapshot truncated or trailing garbage"}
+	if !r.Done() {
+		return nil, &CorruptError{Pos: r.Pos(), Reason: "snapshot truncated or trailing garbage"}
 	}
 	return s, nil
 }
@@ -210,33 +213,27 @@ func DecodeSnapshot(data []byte) (*State, error) {
 func EncodeSave(snap, log []byte) []byte {
 	out := make([]byte, 0, len(saveMagic)+8+len(snap)+len(log))
 	out = append(out, saveMagic...)
-	out = appendU32(out, uint32(len(snap)))
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(snap)))
 	out = append(out, snap...)
-	out = appendU32(out, uint32(len(log)))
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(log)))
 	out = append(out, log...)
 	return out
 }
 
 // DecodeSave splits a save blob into its snapshot and journal sections.
 func DecodeSave(data []byte) (snap, log []byte, err error) {
-	if len(data) < len(saveMagic) || string(data[:len(saveMagic)]) != saveMagic {
+	r := wire.NewReader(data)
+	if string(r.Bytes(len(saveMagic))) != saveMagic {
 		return nil, nil, &CorruptError{Pos: 0, Reason: "bad save magic"}
 	}
-	r := &bodyReader{b: data, pos: len(saveMagic)}
-	n := int(r.u32())
-	if r.err || n < 0 || r.pos+n > len(data) {
-		return nil, nil, &CorruptError{Pos: r.pos, Reason: "snapshot section truncated"}
+	if snap = r.Bytes(int(r.U32())); r.Err() != nil {
+		return nil, nil, &CorruptError{Pos: r.Pos(), Reason: "snapshot section truncated"}
 	}
-	snap = data[r.pos : r.pos+n]
-	r.pos += n
-	n = int(r.u32())
-	if r.err || n < 0 || r.pos+n > len(data) {
-		return nil, nil, &CorruptError{Pos: r.pos, Reason: "journal section truncated"}
+	if log = r.Bytes(int(r.U32())); r.Err() != nil {
+		return nil, nil, &CorruptError{Pos: r.Pos(), Reason: "journal section truncated"}
 	}
-	log = data[r.pos : r.pos+n]
-	r.pos += n
-	if r.pos != len(data) {
-		return nil, nil, &CorruptError{Pos: r.pos, Reason: fmt.Sprintf("%d trailing bytes", len(data)-r.pos)}
+	if !r.Done() {
+		return nil, nil, &CorruptError{Pos: r.Pos(), Reason: fmt.Sprintf("%d trailing bytes", r.Len())}
 	}
 	return snap, log, nil
 }

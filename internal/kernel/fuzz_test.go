@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"reflect"
 	"testing"
 
 	"rmmap/internal/memsim"
@@ -74,13 +75,26 @@ func checkDecodeSpec(t *testing.T, what string, err error, sized, ordered bool) 
 	}
 }
 
+// sameAsOracle fails t unless a decoder and its pre-port oracle
+// (oracle_test.go) agree on the verdict, the ErrRecordOrder class, and
+// the decoded value.
+func sameAsOracle(t *testing.T, what string, got, want any, err, oldErr error) {
+	t.Helper()
+	if (err == nil) != (oldErr == nil) || errors.Is(err, ErrRecordOrder) != errors.Is(oldErr, ErrRecordOrder) {
+		t.Fatalf("%s: err %v, oracle %v", what, err, oldErr)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: decoded %+v, oracle %+v", what, got, want)
+	}
+}
+
 // FuzzAuthWire throws arbitrary bytes at both kernel wire decoders (the
 // rmap auth reply and the replica-auth reply). Neither may panic or
 // over-allocate. Each must accept exactly the well-sized replies whose
 // records are strictly VPN-increasing — out-of-order and duplicate VPNs
 // are rejected with ErrRecordOrder — and an accepted reply must re-encode
 // to the bytes it came from (the replica's complete flag up to
-// normalization to 0/1).
+// normalization to 0/1). Each must also agree with its pre-port oracle.
 func FuzzAuthWire(f *testing.F) {
 	// Minimal valid auth reply: count=0, gen=1, nback=0.
 	f.Add(append([]byte{0, 0, 0, 0}, append([]byte{1, 0, 0, 0, 0, 0, 0, 0}, 0, 0)...))
@@ -108,6 +122,8 @@ func FuzzAuthWire(f *testing.F) {
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ar, err := parseAuthResponse(data)
+		oldAR, oldErr := oldParseAuthResponse(data)
+		sameAsOracle(t, "auth", ar, oldAR, err, oldErr)
 		sized, ordered := false, false
 		if len(data) >= 14 {
 			count := int(binary.LittleEndian.Uint32(data))
@@ -126,6 +142,8 @@ func FuzzAuthWire(f *testing.F) {
 		}
 
 		ra, err := parseReplicaAuthResponse(data)
+		oldRA, oldErr := oldParseReplicaAuthResponse(data)
+		sameAsOracle(t, "replica", ra, oldRA, err, oldErr)
 		sized, ordered = false, false
 		if len(data) >= 13 {
 			count := int(binary.LittleEndian.Uint32(data[9:]))

@@ -10,6 +10,7 @@ import (
 	"rmmap/internal/memsim"
 	"rmmap/internal/rdma"
 	"rmmap/internal/simtime"
+	"rmmap/internal/wire"
 )
 
 // FuncID identifies the registering function instance.
@@ -376,23 +377,24 @@ func (k *Kernel) ServeTCP(s *rdma.TCPServer) {
 	s.HandleFunc(ReplicaEndpoint, k.handleReplicaAuth)
 }
 
-// auth request: id u64 | key u64 | start u64 | end u64 | consumer u64
-// auth response: count u32 | gen u64 | nback u16 | nback × (mac u64) |
-// count × (vpn u64, pfn u64)
+// handleAuth serves an auth request (encoded by authRequest). Its reply:
+//
+//	count u32 | gen u64 | nback u16 | nback × (mac u64) | count × (vpn u64, pfn u64)
 //
 // The records are strictly VPN-increasing (they are the registration's
 // snapshot, filtered to the range), so the reply and its cached bytes are
 // a pure function of the registration; parseAuthResponse rejects any
 // other order.
 func (k *Kernel) handleAuth(m *simtime.Meter, req []byte) ([]byte, error) {
-	if len(req) != 40 {
+	r := wire.NewReader(req)
+	id := FuncID(r.U64())
+	key := Key(r.U64())
+	start := r.U64()
+	end := r.U64()
+	consumer := FuncID(r.U64())
+	if !r.Done() {
 		return nil, fmt.Errorf("kernel: bad auth request")
 	}
-	id := FuncID(binary.LittleEndian.Uint64(req))
-	key := Key(binary.LittleEndian.Uint64(req[8:]))
-	start := binary.LittleEndian.Uint64(req[16:])
-	end := binary.LittleEndian.Uint64(req[24:])
-	consumer := FuncID(binary.LittleEndian.Uint64(req[32:]))
 
 	k.mu.Lock()
 	defer k.mu.Unlock()
@@ -413,24 +415,21 @@ func (k *Kernel) handleAuth(m *simtime.Meter, req []byte) ([]byte, error) {
 	if full && e.respCache != nil {
 		return e.respCache, nil
 	}
-	hdr := 14 + 8*len(e.backups)
-	resp := make([]byte, hdr, hdr+16*len(e.snapshot))
-	binary.LittleEndian.PutUint16(resp[12:], uint16(len(e.backups)))
-	for i, b := range e.backups {
-		binary.LittleEndian.PutUint64(resp[14+8*i:], uint64(b))
+	resp := make([]byte, 4, 14+8*len(e.backups)+16*len(e.snapshot)) // count, back-patched below
+	resp = binary.LittleEndian.AppendUint64(resp, e.gen)
+	resp = binary.LittleEndian.AppendUint16(resp, uint16(len(e.backups)))
+	for _, b := range e.backups {
+		resp = binary.LittleEndian.AppendUint64(resp, uint64(b))
 	}
 	count := 0
 	for _, p := range e.snapshot {
 		if p.VPN.Base() >= start && p.VPN.Base() < end {
-			var rec [16]byte
-			binary.LittleEndian.PutUint64(rec[:], uint64(p.VPN))
-			binary.LittleEndian.PutUint64(rec[8:], uint64(p.PFN))
-			resp = append(resp, rec[:]...)
+			resp = binary.LittleEndian.AppendUint64(resp, uint64(p.VPN))
+			resp = binary.LittleEndian.AppendUint64(resp, uint64(p.PFN))
 			count++
 		}
 	}
 	binary.LittleEndian.PutUint32(resp, uint32(count))
-	binary.LittleEndian.PutUint64(resp[4:], e.gen)
 	if full {
 		e.respCache = resp
 	}
@@ -439,11 +438,12 @@ func (k *Kernel) handleAuth(m *simtime.Meter, req []byte) ([]byte, error) {
 
 // dereg request: id u64 | key u64
 func (k *Kernel) handleDereg(m *simtime.Meter, req []byte) ([]byte, error) {
-	if len(req) != 16 {
+	r := wire.NewReader(req)
+	id := FuncID(r.U64())
+	key := Key(r.U64())
+	if !r.Done() {
 		return nil, fmt.Errorf("kernel: bad dereg request")
 	}
-	id := FuncID(binary.LittleEndian.Uint64(req))
-	key := Key(binary.LittleEndian.Uint64(req[8:]))
 	if err := k.DeregisterMem(id, key); err != nil {
 		return nil, err
 	}
@@ -452,10 +452,11 @@ func (k *Kernel) handleDereg(m *simtime.Meter, req []byte) ([]byte, error) {
 
 // page request: pfn u64 → page bytes (the no-RDMA ablation path).
 func (k *Kernel) handlePage(m *simtime.Meter, req []byte) ([]byte, error) {
-	if len(req) != 8 {
+	r := wire.NewReader(req)
+	pfn := memsim.PFN(r.U64())
+	if !r.Done() {
 		return nil, fmt.Errorf("kernel: bad page request")
 	}
-	pfn := memsim.PFN(binary.LittleEndian.Uint64(req))
 	buf := make([]byte, memsim.PageSize)
 	if err := k.machine.ReadFrameErr(pfn, 0, buf); err != nil {
 		return nil, err

@@ -7,6 +7,7 @@ import (
 
 	"rmmap/internal/memsim"
 	"rmmap/internal/simtime"
+	"rmmap/internal/wire"
 )
 
 // Lease-based liveness (§6 fault tolerance extension).
@@ -204,10 +205,9 @@ func (k *Kernel) deadPeersLocked() []memsim.MachineID {
 	return dead
 }
 
-// encodeCerts frames death certificates: u16 n | n × u32 machine.
-func encodeCerts(dead []memsim.MachineID) []byte {
-	b := make([]byte, 2, 2+4*len(dead))
-	binary.LittleEndian.PutUint16(b, uint16(len(dead)))
+// appendCerts frames death certificates: u16 n | n × u32 machine.
+func appendCerts(b []byte, dead []memsim.MachineID) []byte {
+	b = binary.LittleEndian.AppendUint16(b, uint16(len(dead)))
 	for _, m := range dead {
 		b = binary.LittleEndian.AppendUint32(b, uint32(m))
 	}
@@ -217,16 +217,13 @@ func encodeCerts(dead []memsim.MachineID) []byte {
 // decodeCerts parses a certificate frame; a short or absent frame means
 // no certificates (the pre-gossip wire format).
 func decodeCerts(b []byte) []memsim.MachineID {
-	if len(b) < 2 {
-		return nil
+	r := wire.NewReader(b)
+	dead := make([]memsim.MachineID, r.Count(uint64(r.U16()), 4))
+	for i := range dead {
+		dead[i] = memsim.MachineID(int32(r.U32()))
 	}
-	n := int(binary.LittleEndian.Uint16(b))
-	if len(b) < 2+4*n {
+	if r.Err() != nil {
 		return nil
-	}
-	dead := make([]memsim.MachineID, 0, n)
-	for i := 0; i < n; i++ {
-		dead = append(dead, memsim.MachineID(int32(binary.LittleEndian.Uint32(b[2+4*i:]))))
 	}
 	return dead
 }
@@ -252,7 +249,7 @@ func (k *Kernel) Heartbeat(peer memsim.MachineID) error {
 	}
 	var req []byte
 	if len(certs) > 0 {
-		req = encodeCerts(certs)
+		req = appendCerts(make([]byte, 0, 2+4*len(certs)), certs)
 	}
 	resp, err := k.transport.CallCat(m, simtime.CatHeartbeat, peer, LeaseEndpoint, req)
 	if err != nil {
@@ -284,8 +281,6 @@ func (k *Kernel) handleLease(m *simtime.Meter, req []byte) ([]byte, error) {
 	gen := k.memGen
 	certs := k.deadPeersLocked()
 	k.mu.Unlock()
-	resp := make([]byte, 8, 8+2+4*len(certs))
-	binary.LittleEndian.PutUint64(resp, gen)
-	resp = append(resp, encodeCerts(certs)...)
-	return resp, nil
+	resp := binary.LittleEndian.AppendUint64(make([]byte, 0, 8+2+4*len(certs)), gen)
+	return appendCerts(resp, certs), nil
 }

@@ -129,13 +129,7 @@ func (k *Kernel) RmapMeta(as *memsim.AddressSpace, meta VMMeta, consumer FuncID,
 	}
 
 	// Auth RPC, piggybacking the page-table fetch (§4.1 Fig 8 step 2).
-	req := make([]byte, 40)
-	binary.LittleEndian.PutUint64(req, uint64(id))
-	binary.LittleEndian.PutUint64(req[8:], uint64(key))
-	binary.LittleEndian.PutUint64(req[16:], start)
-	binary.LittleEndian.PutUint64(req[24:], end)
-	binary.LittleEndian.PutUint64(req[32:], uint64(consumer))
-	resp, err := k.transport.Call(meter, mac, AuthEndpoint, req)
+	resp, err := k.transport.Call(meter, mac, AuthEndpoint, authRequest(id, key, start, end, consumer))
 	if err != nil {
 		if mode == PagingRDMA && len(mp.backups) > 0 && errors.Is(err, memsim.ErrMachineCrashed) {
 			k.ProbeFailed(mac, err)
@@ -270,12 +264,7 @@ func (mp *Mapping) ensureFresh(meter *simtime.Meter) error {
 // generation equality, charged to the heartbeat category on the
 // invocation's meter (it is liveness work, not paging work).
 func (mp *Mapping) revalidate(meter *simtime.Meter) error {
-	req := make([]byte, 40)
-	binary.LittleEndian.PutUint64(req, uint64(mp.id))
-	binary.LittleEndian.PutUint64(req[8:], uint64(mp.key))
-	binary.LittleEndian.PutUint64(req[16:], mp.Start)
-	binary.LittleEndian.PutUint64(req[24:], mp.End)
-	binary.LittleEndian.PutUint64(req[32:], uint64(mp.consumer))
+	req := authRequest(mp.id, mp.key, mp.Start, mp.End, mp.consumer)
 	resp, err := mp.k.transport.CallCat(meter, simtime.CatHeartbeat, mp.target, AuthEndpoint, req)
 	if err != nil {
 		mp.k.ProbeFailed(mp.target, err)
@@ -284,13 +273,13 @@ func (mp *Mapping) revalidate(meter *simtime.Meter) error {
 		}
 		return err
 	}
-	if len(resp) < 14 {
-		return fmt.Errorf("kernel: bad auth response")
+	ar, err := parseAuthResponse(resp)
+	if err != nil {
+		return err
 	}
-	gen := binary.LittleEndian.Uint64(resp[4:])
-	if gen != mp.gen {
+	if ar.gen != mp.gen {
 		return fmt.Errorf("kernel: registration (%d,%d) on machine %d regenerated (gen %d, had %d): %w",
-			mp.id, mp.key, mp.target, gen, mp.gen, ErrStaleGeneration)
+			mp.id, mp.key, mp.target, ar.gen, mp.gen, ErrStaleGeneration)
 	}
 	mp.k.RenewLease(mp.target)
 	return nil
@@ -439,8 +428,7 @@ func (mp *Mapping) read(meter *simtime.Meter, demand bool, cat simtime.Category)
 	}
 	r := mp.reqs[0]
 	if mp.mode == PagingRPC {
-		req := make([]byte, 8)
-		binary.LittleEndian.PutUint64(req, uint64(mp.rpfns[0]))
+		req := binary.LittleEndian.AppendUint64(make([]byte, 0, 8), uint64(mp.rpfns[0]))
 		resp, err := mp.k.transport.CallCat(meter, simtime.CatFault, mp.target, PageEndpoint, req)
 		if err != nil {
 			return err

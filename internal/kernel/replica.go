@@ -7,6 +7,7 @@ import (
 	"rmmap/internal/memsim"
 	"rmmap/internal/rdma"
 	"rmmap/internal/simtime"
+	"rmmap/internal/wire"
 )
 
 // Async state replication (§6 fault tolerance extension).
@@ -33,6 +34,19 @@ type replicaKey struct {
 	origin memsim.MachineID
 	id     FuncID
 	key    Key
+}
+
+// appendReplicaKey encodes the replica key every backup-side request
+// opens with: origin u64 | id u64 | key u64.
+func appendReplicaKey(b []byte, rk replicaKey) []byte {
+	b = binary.LittleEndian.AppendUint64(b, uint64(rk.origin))
+	b = binary.LittleEndian.AppendUint64(b, uint64(rk.id))
+	return binary.LittleEndian.AppendUint64(b, uint64(rk.key))
+}
+
+// readReplicaKey decodes what appendReplicaKey encodes.
+func readReplicaKey(r *wire.Reader) replicaKey {
+	return replicaKey{memsim.MachineID(r.U64()), FuncID(r.U64()), Key(r.U64())}
 }
 
 type replicaPage struct {
@@ -143,28 +157,28 @@ func (k *Kernel) replPrepare(job *replJob) {
 	}
 	m := k.replMeter
 	before := m.Total()
-	req := make([]byte, 52+16*len(job.pages))
-	binary.LittleEndian.PutUint64(req, uint64(k.machine.ID()))
-	binary.LittleEndian.PutUint64(req[8:], uint64(job.id))
-	binary.LittleEndian.PutUint64(req[16:], uint64(job.key))
-	binary.LittleEndian.PutUint64(req[24:], job.gen)
-	binary.LittleEndian.PutUint64(req[32:], job.start)
-	binary.LittleEndian.PutUint64(req[40:], job.end)
-	binary.LittleEndian.PutUint32(req[48:], uint32(len(job.pages)))
-	for i, p := range job.pages {
-		binary.LittleEndian.PutUint64(req[52+16*i:], uint64(p.VPN))
-		binary.LittleEndian.PutUint64(req[52+16*i+8:], uint64(p.PFN))
+	// prep request: replica key | gen u64 | start u64 | end u64 |
+	// count u32 | count × (vpn u64, prodPFN u64), in snapshot order
+	req := appendReplicaKey(make([]byte, 0, 52+16*len(job.pages)), replicaKey{k.machine.ID(), job.id, job.key})
+	req = binary.LittleEndian.AppendUint64(req, job.gen)
+	req = binary.LittleEndian.AppendUint64(req, job.start)
+	req = binary.LittleEndian.AppendUint64(req, job.end)
+	req = binary.LittleEndian.AppendUint32(req, uint32(len(job.pages)))
+	for _, p := range job.pages {
+		req = binary.LittleEndian.AppendUint64(req, uint64(p.VPN))
+		req = binary.LittleEndian.AppendUint64(req, uint64(p.PFN))
 	}
 	live := false
 	for _, t := range job.targets {
 		resp, err := k.transport.CallCat(m, simtime.CatReplicate, t.mac, ReplPrepareEndpoint, req)
-		if err != nil || len(resp) != 8*len(job.pages) {
+		r := wire.NewReader(resp)
+		if err != nil || r.Len() != 8*len(job.pages) {
 			t.failed = true
 			continue
 		}
 		t.locals = make([]memsim.PFN, len(job.pages))
 		for i := range t.locals {
-			t.locals[i] = memsim.PFN(binary.LittleEndian.Uint64(resp[8*i:]))
+			t.locals[i] = memsim.PFN(r.U64())
 		}
 		live = true
 	}
@@ -193,11 +207,9 @@ func (k *Kernel) replStep(job *replJob) {
 	for i := lo; i < hi; i++ {
 		k.machine.ReadFrame(job.pages[i].PFN, 0, page(i))
 	}
-	commit := make([]byte, 28)
-	binary.LittleEndian.PutUint64(commit, uint64(k.machine.ID()))
-	binary.LittleEndian.PutUint64(commit[8:], uint64(job.id))
-	binary.LittleEndian.PutUint64(commit[16:], uint64(job.key))
-	binary.LittleEndian.PutUint32(commit[24:], uint32(hi))
+	// commit request: replica key | done u32
+	commit := appendReplicaKey(make([]byte, 0, 28), replicaKey{k.machine.ID(), job.id, job.key})
+	commit = binary.LittleEndian.AppendUint32(commit, uint32(hi))
 	live := false
 	for _, t := range job.targets {
 		if t.failed {
@@ -237,10 +249,7 @@ func (k *Kernel) scheduleReplicaDrop(id FuncID, key Key, backups []memsim.Machin
 		if k.machine.Crashed() {
 			return
 		}
-		req := make([]byte, 24)
-		binary.LittleEndian.PutUint64(req, uint64(k.machine.ID()))
-		binary.LittleEndian.PutUint64(req[8:], uint64(id))
-		binary.LittleEndian.PutUint64(req[16:], uint64(key))
+		req := appendReplicaKey(make([]byte, 0, 24), replicaKey{k.machine.ID(), id, key}) // drop request
 		for _, b := range backups {
 			_, _ = k.transport.CallCat(k.replMeter, simtime.CatReplicate, b, ReplDropEndpoint, req)
 		}
@@ -249,47 +258,38 @@ func (k *Kernel) scheduleReplicaDrop(id FuncID, key Key, backups []memsim.Machin
 
 // --- Backup-side handlers ---
 
-// prep request: origin u64 | id u64 | key u64 | gen u64 | start u64 |
-// end u64 | count u32 | count × (vpn u64, prodPFN u64)
-// prep response: count × (localPFN u64)
+// handleReplPrepare serves a prep request (encoded by replPrepare). Its
+// reply is count × (localPFN u64).
 //
 // The records are strictly VPN-increasing (the producer pushes its
 // snapshot as-is); the replica keeps that order, which is the order
 // handleReplicaAuth replies in.
 func (k *Kernel) handleReplPrepare(m *simtime.Meter, req []byte) ([]byte, error) {
-	if len(req) < 52 {
+	r := wire.NewReader(req)
+	rk := readReplicaKey(&r)
+	e := &replicaEntry{gen: r.U64(), start: r.U64(), end: r.U64()}
+	e.total = r.Count(uint64(r.U32()), 16)
+	e.pages = make([]replicaPage, e.total)
+	for i := range e.pages {
+		e.pages[i] = replicaPage{vpn: memsim.VPN(r.U64()), prodPFN: memsim.PFN(r.U64())}
+	}
+	if !r.Done() {
 		return nil, fmt.Errorf("kernel: bad replica prepare request")
 	}
-	origin := memsim.MachineID(binary.LittleEndian.Uint64(req))
-	id := FuncID(binary.LittleEndian.Uint64(req[8:]))
-	key := Key(binary.LittleEndian.Uint64(req[16:]))
-	gen := binary.LittleEndian.Uint64(req[24:])
-	start := binary.LittleEndian.Uint64(req[32:])
-	end := binary.LittleEndian.Uint64(req[40:])
-	count := int(binary.LittleEndian.Uint32(req[48:]))
-	if len(req) != 52+16*count {
-		return nil, fmt.Errorf("kernel: bad replica prepare length")
-	}
-	for i := 1; i < count; i++ {
-		if binary.LittleEndian.Uint64(req[52+16*i:]) <= binary.LittleEndian.Uint64(req[52+16*(i-1):]) {
+	for i := 1; i < len(e.pages); i++ {
+		if e.pages[i].vpn <= e.pages[i-1].vpn {
 			return nil, fmt.Errorf("%w: replica prepare record %d", ErrRecordOrder, i)
 		}
 	}
-	e := &replicaEntry{start: start, end: end, gen: gen, total: count,
-		pages: make([]replicaPage, count)}
-	resp := make([]byte, 8*count)
-	for i := 0; i < count; i++ {
-		vpn := memsim.VPN(binary.LittleEndian.Uint64(req[52+16*i:]))
-		prod := memsim.PFN(binary.LittleEndian.Uint64(req[52+16*i+8:]))
-		local := k.machine.AllocFrame()
-		e.pages[i] = replicaPage{vpn: vpn, prodPFN: prod, local: local}
-		binary.LittleEndian.PutUint64(resp[8*i:], uint64(local))
+	resp := make([]byte, 0, 8*e.total)
+	for i := range e.pages {
+		e.pages[i].local = k.machine.AllocFrame()
+		resp = binary.LittleEndian.AppendUint64(resp, uint64(e.pages[i].local))
 	}
 	k.mu.Lock()
 	if k.replicas == nil {
 		k.replicas = make(map[replicaKey]*replicaEntry)
 	}
-	rk := replicaKey{origin, id, key}
 	old := k.replicas[rk]
 	k.replicas[rk] = e
 	k.mu.Unlock()
@@ -301,20 +301,19 @@ func (k *Kernel) handleReplPrepare(m *simtime.Meter, req []byte) ([]byte, error)
 	return resp, nil
 }
 
-// commit request: origin u64 | id u64 | key u64 | done u32
+// handleReplCommit serves a commit request (encoded by replStep).
 func (k *Kernel) handleReplCommit(m *simtime.Meter, req []byte) ([]byte, error) {
-	if len(req) != 28 {
+	r := wire.NewReader(req)
+	rk := readReplicaKey(&r)
+	done := int(r.U32())
+	if !r.Done() {
 		return nil, fmt.Errorf("kernel: bad replica commit request")
 	}
-	origin := memsim.MachineID(binary.LittleEndian.Uint64(req))
-	id := FuncID(binary.LittleEndian.Uint64(req[8:]))
-	key := Key(binary.LittleEndian.Uint64(req[16:]))
-	done := int(binary.LittleEndian.Uint32(req[24:]))
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	e, ok := k.replicas[replicaKey{origin, id, key}]
+	e, ok := k.replicas[rk]
 	if !ok {
-		return nil, fmt.Errorf("%w: no replica for machine %d id %d", ErrNotRegistered, origin, id)
+		return nil, fmt.Errorf("%w: no replica for machine %d id %d", ErrNotRegistered, rk.origin, rk.id)
 	}
 	if done > e.total {
 		done = e.total
@@ -325,16 +324,14 @@ func (k *Kernel) handleReplCommit(m *simtime.Meter, req []byte) ([]byte, error) 
 	return []byte{1}, nil
 }
 
-// drop request: origin u64 | id u64 | key u64
+// handleReplDrop serves a drop request (encoded by scheduleReplicaDrop).
 func (k *Kernel) handleReplDrop(m *simtime.Meter, req []byte) ([]byte, error) {
-	if len(req) != 24 {
+	r := wire.NewReader(req)
+	rk := readReplicaKey(&r)
+	if !r.Done() {
 		return nil, fmt.Errorf("kernel: bad replica drop request")
 	}
-	origin := memsim.MachineID(binary.LittleEndian.Uint64(req))
-	id := FuncID(binary.LittleEndian.Uint64(req[8:]))
-	key := Key(binary.LittleEndian.Uint64(req[16:]))
 	k.mu.Lock()
-	rk := replicaKey{origin, id, key}
 	e := k.replicas[rk]
 	delete(k.replicas, rk)
 	k.mu.Unlock()
@@ -346,46 +343,45 @@ func (k *Kernel) handleReplDrop(m *simtime.Meter, req []byte) ([]byte, error) {
 	return []byte{1}, nil
 }
 
-// replica auth request: origin u64 | id u64 | key u64 | consumer u64 |
-// start u64 | end u64
-// replica auth response: gen u64 | complete u8 | count u32 |
-// count × (vpn u64, prodPFN u64, localPFN u64), strictly VPN-increasing
+// handleReplicaAuth serves a replica auth request (encoded by
+// replicaAuthCall). Its reply:
 //
-// Like the producer's auth RPC, possession of (id, key) is the
-// credential; the producer's ACL is not replicated, so ACL-restricted
-// registrations simply fence to re-execution if their producer dies.
+//	gen u64 | complete u8 | count u32 | count × (vpn u64, prodPFN u64, localPFN u64)
+//
+// with the records strictly VPN-increasing. Like the producer's auth RPC,
+// possession of (id, key) is the credential; the producer's ACL is not
+// replicated, so ACL-restricted registrations simply fence to
+// re-execution if their producer dies.
 func (k *Kernel) handleReplicaAuth(m *simtime.Meter, req []byte) ([]byte, error) {
-	if len(req) != 48 {
+	r := wire.NewReader(req)
+	rk := readReplicaKey(&r)
+	r.U64() // consumer: the ACL is not replicated
+	start := r.U64()
+	end := r.U64()
+	if !r.Done() {
 		return nil, fmt.Errorf("kernel: bad replica auth request")
 	}
-	origin := memsim.MachineID(binary.LittleEndian.Uint64(req))
-	id := FuncID(binary.LittleEndian.Uint64(req[8:]))
-	key := Key(binary.LittleEndian.Uint64(req[16:]))
-	start := binary.LittleEndian.Uint64(req[32:])
-	end := binary.LittleEndian.Uint64(req[40:])
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	e, ok := k.replicas[replicaKey{origin, id, key}]
+	e, ok := k.replicas[rk]
 	if !ok {
-		return nil, fmt.Errorf("%w: no replica for machine %d id %d", ErrAuth, origin, id)
+		return nil, fmt.Errorf("%w: no replica for machine %d id %d", ErrAuth, rk.origin, rk.id)
 	}
 	if start < e.start || end > e.end {
 		return nil, fmt.Errorf("%w: [%#x,%#x) not within [%#x,%#x)",
 			ErrRangeOutside, start, end, e.start, e.end)
 	}
-	resp := make([]byte, 13, 13+24*len(e.pages))
-	binary.LittleEndian.PutUint64(resp, e.gen)
+	resp := binary.LittleEndian.AppendUint64(make([]byte, 0, 13+24*len(e.pages)), e.gen)
+	resp = append(resp, 0, 0, 0, 0, 0) // complete u8, then count u32, back-patched below
 	if e.done == e.total {
 		resp[8] = 1
 	}
 	count := 0
 	for _, p := range e.pages {
 		if p.vpn.Base() >= start && p.vpn.Base() < end {
-			var rec [24]byte
-			binary.LittleEndian.PutUint64(rec[:], uint64(p.vpn))
-			binary.LittleEndian.PutUint64(rec[8:], uint64(p.prodPFN))
-			binary.LittleEndian.PutUint64(rec[16:], uint64(p.local))
-			resp = append(resp, rec[:]...)
+			resp = binary.LittleEndian.AppendUint64(resp, uint64(p.vpn))
+			resp = binary.LittleEndian.AppendUint64(resp, uint64(p.prodPFN))
+			resp = binary.LittleEndian.AppendUint64(resp, uint64(p.local))
 			count++
 		}
 	}
@@ -397,13 +393,11 @@ func (k *Kernel) handleReplicaAuth(m *simtime.Meter, req []byte) ([]byte, error)
 // returning the replica generation, completeness, and the VPN-ordered
 // logical (producer) and physical (backup) page tables for [start, end).
 func (k *Kernel) replicaAuthCall(m *simtime.Meter, b, origin memsim.MachineID, id FuncID, key Key, start, end uint64, consumer FuncID) (gen uint64, complete bool, logical, phys []memsim.PageRef, err error) {
-	req := make([]byte, 48)
-	binary.LittleEndian.PutUint64(req, uint64(origin))
-	binary.LittleEndian.PutUint64(req[8:], uint64(id))
-	binary.LittleEndian.PutUint64(req[16:], uint64(key))
-	binary.LittleEndian.PutUint64(req[24:], uint64(consumer))
-	binary.LittleEndian.PutUint64(req[32:], start)
-	binary.LittleEndian.PutUint64(req[40:], end)
+	// replica auth request: replica key | consumer u64 | start u64 | end u64
+	req := appendReplicaKey(make([]byte, 0, 48), replicaKey{origin, id, key})
+	req = binary.LittleEndian.AppendUint64(req, uint64(consumer))
+	req = binary.LittleEndian.AppendUint64(req, start)
+	req = binary.LittleEndian.AppendUint64(req, end)
 	resp, err := k.transport.CallCat(m, simtime.CatMap, b, ReplicaEndpoint, req)
 	if err != nil {
 		return 0, false, nil, nil, err

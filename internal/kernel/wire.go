@@ -1,14 +1,12 @@
 package kernel
 
-// Pure wire decoders for the kernel's RPC replies. Factored out of the
-// call sites so they can be fuzzed directly: both run on bytes that crossed
-// a (possibly real TCP) fabric, so they must reject any malformed input
+// Both page-table replies (auth and replica auth) carry page records in
+// strictly increasing VPN order — the order of the registration's
+// snapshot — and the decoders reject anything else (out of order or a
+// duplicate VPN) with ErrRecordOrder, so a decoded page table is always a
+// valid binary-search table. The bytes may have crossed a real TCP fabric,
+// so every decoder reads through a wire.Reader and rejects malformed input
 // with an error rather than panic or over-allocate.
-//
-// Both replies carry page records in strictly increasing VPN order — the
-// order of the registration's snapshot — and the decoders reject anything
-// else (out of order or a duplicate VPN) with ErrRecordOrder, so a decoded
-// page table is always a valid binary-search table.
 
 import (
 	"encoding/binary"
@@ -16,18 +14,33 @@ import (
 	"fmt"
 
 	"rmmap/internal/memsim"
+	"rmmap/internal/wire"
 )
 
 // ErrRecordOrder rejects a page-table reply whose records are not strictly
 // VPN-increasing.
 var ErrRecordOrder = errors.New("kernel: page records not in strictly increasing VPN order")
 
-// checkOrder validates record i's VPN against its predecessor's.
-func checkOrder(i int, vpn memsim.VPN, prev []memsim.PageRef) error {
-	if i > 0 && vpn <= prev[i-1].VPN {
-		return fmt.Errorf("%w: record %d vpn %#x after %#x", ErrRecordOrder, i, vpn, prev[i-1].VPN)
+// checkOrder validates that pages are strictly VPN-increasing.
+func checkOrder(pages []memsim.PageRef) error {
+	for i := 1; i < len(pages); i++ {
+		if pages[i].VPN <= pages[i-1].VPN {
+			return fmt.Errorf("%w: record %d vpn %#x after %#x", ErrRecordOrder, i, pages[i].VPN, pages[i-1].VPN)
+		}
 	}
 	return nil
+}
+
+// authRequest encodes an AuthEndpoint request:
+//
+//	id u64 | key u64 | start u64 | end u64 | consumer u64
+func authRequest(id FuncID, key Key, start, end uint64, consumer FuncID) []byte {
+	b := make([]byte, 0, 40)
+	b = binary.LittleEndian.AppendUint64(b, uint64(id))
+	b = binary.LittleEndian.AppendUint64(b, uint64(key))
+	b = binary.LittleEndian.AppendUint64(b, start)
+	b = binary.LittleEndian.AppendUint64(b, end)
+	return binary.LittleEndian.AppendUint64(b, uint64(consumer))
 }
 
 // authResponse is the decoded reply of AuthEndpoint: the registration
@@ -39,35 +52,26 @@ type authResponse struct {
 	pages   []memsim.PageRef // never nil, even when empty
 }
 
-// parseAuthResponse decodes an AuthEndpoint reply:
-//
-//	count u32 | gen u64 | nback u16 | nback×(backup u64) | count×(vpn u64, pfn u64)
+// parseAuthResponse decodes an AuthEndpoint reply (encoded by handleAuth).
 func parseAuthResponse(resp []byte) (authResponse, error) {
-	if len(resp) < 14 {
-		return authResponse{}, fmt.Errorf("kernel: bad auth response")
+	r := wire.NewReader(resp)
+	count := r.U32()
+	ar := authResponse{gen: r.U64()}
+	if nback := r.Count(uint64(r.U16()), 8); nback > 0 {
+		ar.backups = make([]memsim.MachineID, nback)
+		for i := range ar.backups {
+			ar.backups[i] = memsim.MachineID(r.U64())
+		}
 	}
-	count := int(binary.LittleEndian.Uint32(resp))
-	gen := binary.LittleEndian.Uint64(resp[4:])
-	nback := int(binary.LittleEndian.Uint16(resp[12:]))
-	hdr := 14 + 8*nback
-	if len(resp) != hdr+16*count {
+	ar.pages = make([]memsim.PageRef, r.Count(uint64(count), 16))
+	for i := range ar.pages {
+		ar.pages[i] = memsim.PageRef{VPN: memsim.VPN(r.U64()), PFN: memsim.PFN(r.U64())}
+	}
+	if !r.Done() {
 		return authResponse{}, fmt.Errorf("kernel: bad auth response length")
 	}
-	ar := authResponse{gen: gen}
-	if nback > 0 {
-		ar.backups = make([]memsim.MachineID, nback)
-		for i := 0; i < nback; i++ {
-			ar.backups[i] = memsim.MachineID(binary.LittleEndian.Uint64(resp[14+8*i:]))
-		}
-	}
-	ar.pages = make([]memsim.PageRef, count)
-	for i := range ar.pages {
-		rec := resp[hdr+16*i:]
-		vpn := memsim.VPN(binary.LittleEndian.Uint64(rec))
-		if err := checkOrder(i, vpn, ar.pages); err != nil {
-			return authResponse{}, err
-		}
-		ar.pages[i] = memsim.PageRef{VPN: vpn, PFN: memsim.PFN(binary.LittleEndian.Uint64(rec[8:]))}
+	if err := checkOrder(ar.pages); err != nil {
+		return authResponse{}, err
 	}
 	return ar, nil
 }
@@ -83,32 +87,24 @@ type replicaAuthResponse struct {
 	phys     []memsim.PageRef
 }
 
-// parseReplicaAuthResponse decodes a ReplicaEndpoint reply:
-//
-//	gen u64 | complete u8 | count u32 | count×(vpn u64, producer pfn u64, backup pfn u64)
+// parseReplicaAuthResponse decodes a ReplicaEndpoint reply (encoded by
+// handleReplicaAuth).
 func parseReplicaAuthResponse(resp []byte) (replicaAuthResponse, error) {
-	if len(resp) < 13 {
-		return replicaAuthResponse{}, fmt.Errorf("kernel: bad replica auth response")
+	r := wire.NewReader(resp)
+	ra := replicaAuthResponse{gen: r.U64(), complete: r.U8() == 1}
+	count := r.Count(uint64(r.U32()), 24)
+	ra.logical = make([]memsim.PageRef, count)
+	ra.phys = make([]memsim.PageRef, count)
+	for i := range ra.logical {
+		vpn := memsim.VPN(r.U64())
+		ra.logical[i] = memsim.PageRef{VPN: vpn, PFN: memsim.PFN(r.U64())}
+		ra.phys[i] = memsim.PageRef{VPN: vpn, PFN: memsim.PFN(r.U64())}
 	}
-	gen := binary.LittleEndian.Uint64(resp)
-	complete := resp[8] == 1
-	count := int(binary.LittleEndian.Uint32(resp[9:]))
-	if len(resp) != 13+24*count {
+	if !r.Done() {
 		return replicaAuthResponse{}, fmt.Errorf("kernel: bad replica auth response length")
 	}
-	ra := replicaAuthResponse{
-		gen: gen, complete: complete,
-		logical: make([]memsim.PageRef, count),
-		phys:    make([]memsim.PageRef, count),
-	}
-	for i := 0; i < count; i++ {
-		rec := resp[13+24*i:]
-		vpn := memsim.VPN(binary.LittleEndian.Uint64(rec))
-		if err := checkOrder(i, vpn, ra.logical); err != nil {
-			return replicaAuthResponse{}, err
-		}
-		ra.logical[i] = memsim.PageRef{VPN: vpn, PFN: memsim.PFN(binary.LittleEndian.Uint64(rec[8:]))}
-		ra.phys[i] = memsim.PageRef{VPN: vpn, PFN: memsim.PFN(binary.LittleEndian.Uint64(rec[16:]))}
+	if err := checkOrder(ra.logical); err != nil {
+		return replicaAuthResponse{}, err
 	}
 	return ra, nil
 }

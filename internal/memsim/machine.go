@@ -68,6 +68,11 @@ type frame struct {
 // can recover from (§6 fault tolerance).
 var ErrMachineCrashed = errors.New("memsim: machine crashed")
 
+// ErrBadPFN is returned by checked frame accesses for a PFN that is out of
+// range or not allocated. Local accesses panic on it instead: there only a
+// bug can produce one.
+var ErrBadPFN = errors.New("memsim: bad PFN")
+
 // Machine owns a pool of physical frames. It is safe for concurrent use:
 // the TCP fabric serves one-sided reads from other goroutines, and the
 // parallel engine's worker groups hit a shared producer's frame table from
@@ -288,18 +293,36 @@ func (m *Machine) Crash() { m.crashed.Store(true) }
 // Crashed reports whether the machine has failed.
 func (m *Machine) Crashed() bool { return m.crashed.Load() }
 
+// remoteFrame returns pfn's frame with its shard lock held, for a remote
+// access path: the PFN came off the wire, so a dead machine is
+// ErrMachineCrashed and a PFN that is out of range or not allocated is
+// ErrBadPFN, not a panic.
+func (m *Machine) remoteFrame(pfn PFN) (*frame, *frameLock, error) {
+	if m.crashed.Load() {
+		return nil, nil, fmt.Errorf("%w: machine %d", ErrMachineCrashed, m.id)
+	}
+	if arr := *m.frames.Load(); pfn < PFN(len(arr)) && arr[pfn] != nil {
+		f, s := arr[pfn], m.lock(pfn)
+		s.Lock()
+		if f.refs > 0 {
+			return f, s, nil
+		}
+		s.Unlock()
+	}
+	return nil, nil, fmt.Errorf("%w: machine %d: PFN %d", ErrBadPFN, m.id, pfn)
+}
+
 // ReadFrameErr is ReadFrame for remote access paths: it fails with
-// ErrMachineCrashed instead of serving bytes from a dead machine.
+// ErrMachineCrashed instead of serving bytes from a dead machine, and with
+// ErrBadPFN for a frame that is not allocated.
 func (m *Machine) ReadFrameErr(pfn PFN, off int, buf []byte) error {
 	if off < 0 || off+len(buf) > PageSize {
 		panic(fmt.Sprintf("memsim: ReadFrame out of range off=%d len=%d", off, len(buf)))
 	}
-	if m.crashed.Load() {
-		return fmt.Errorf("%w: machine %d", ErrMachineCrashed, m.id)
+	f, s, err := m.remoteFrame(pfn)
+	if err != nil {
+		return err
 	}
-	f := m.frame(pfn)
-	s := m.lock(pfn)
-	s.Lock()
 	copy(buf, f.data[off:])
 	s.Unlock()
 	return nil
@@ -321,17 +344,15 @@ func (m *Machine) ReadFrame(pfn PFN, off int, buf []byte) {
 
 // WriteFrameErr is WriteFrame for remote access paths (replication
 // pushes): it fails with ErrMachineCrashed instead of mutating a dead
-// machine's frames.
+// machine's frames, and with ErrBadPFN for a frame that is not allocated.
 func (m *Machine) WriteFrameErr(pfn PFN, off int, data []byte) error {
 	if off < 0 || off+len(data) > PageSize {
 		panic(fmt.Sprintf("memsim: WriteFrame out of range off=%d len=%d", off, len(data)))
 	}
-	if m.crashed.Load() {
-		return fmt.Errorf("%w: machine %d", ErrMachineCrashed, m.id)
+	f, s, err := m.remoteFrame(pfn)
+	if err != nil {
+		return err
 	}
-	f := m.frame(pfn)
-	s := m.lock(pfn)
-	s.Lock()
 	copy(f.data[off:], data)
 	s.Unlock()
 	return nil

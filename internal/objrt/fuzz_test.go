@@ -3,6 +3,7 @@ package objrt
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"testing"
 
 	"rmmap/internal/simtime"
@@ -17,7 +18,10 @@ import (
 // round-trip byte-for-byte. testdata/fuzz/FuzzUnpickle holds two former
 // crashes: a record count far beyond what the stream can hold (an
 // out-of-memory abort from a count-sized allocation) and a list length
-// whose payload size wrapped to 0 (an index-out-of-range panic).
+// whose payload size wrapped to 0 (an index-out-of-range panic). Unpickle
+// must also agree with its pre-port oracle (oracle_test.go): the same
+// verdict, and on success the same root and the same allocations, address
+// for address.
 func FuzzUnpickle(f *testing.F) {
 	rt := newRT(f)
 	i, _ := rt.NewInt(-7)
@@ -43,6 +47,16 @@ func FuzzUnpickle(f *testing.F) {
 		f.Add(data)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		rt, oldRT := newRT(t), newRT(t)
+		root, err := Unpickle(rt, data, simtime.NewMeter())
+		oldRoot, oldErr := oldUnpickle(oldRT, data, simtime.NewMeter())
+		if (err == nil) != (oldErr == nil) || errors.Is(err, ErrPickle) != errors.Is(oldErr, ErrPickle) {
+			t.Fatalf("Unpickle err %v, oracle %v", err, oldErr)
+		}
+		if err == nil && (root.Addr != oldRoot.Addr || !reflect.DeepEqual(allocs(rt), allocs(oldRT))) {
+			t.Fatalf("Unpickle allocations differ from the oracle's")
+		}
+
 		canon, err := repickle(t, data)
 		if err != nil {
 			if !errors.Is(err, ErrPickle) {
@@ -54,6 +68,13 @@ func FuzzUnpickle(f *testing.F) {
 			t.Fatalf("canonical form is not a fixed point (%v):\n got %x\nwant %x", err, again, canon)
 		}
 	})
+}
+
+// allocs maps each live allocation on rt's heap to its size.
+func allocs(rt *Runtime) map[uint64]uint64 {
+	m := map[uint64]uint64{}
+	rt.Heap().EachAlloc(func(addr, size uint64) { m[addr] = size })
+	return m
 }
 
 // repickle decodes data onto a fresh runtime and pickles the result again.

@@ -1,10 +1,12 @@
 package objrt
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 
 	"rmmap/internal/simtime"
+	"rmmap/internal/wire"
 )
 
 // The pickle codec is what the Messaging and Storage baselines pay for:
@@ -81,9 +83,7 @@ func Pickle(root Obj, meter *simtime.Meter) ([]byte, PickleStats, error) {
 	var st PickleStats
 	out := make([]byte, 0, 1024)
 	out = append(out, pickleMagic...)
-	var cntBuf [8]byte
-	putU64(cntBuf[:], uint64(len(order)))
-	out = append(out, cntBuf[:]...)
+	out = binary.LittleEndian.AppendUint64(out, uint64(len(order)))
 
 	for _, o := range order {
 		h, err := o.header()
@@ -106,15 +106,9 @@ func Pickle(root Obj, meter *simtime.Meter) ([]byte, PickleStats, error) {
 				putU64(payload[i*PtrSize:], idx)
 			}
 		}
-		var rec [14]byte
-		rec[0] = byte(h.tag)
-		rec[1] = byte(h.tag >> 8)
-		rec[2] = byte(h.aux)
-		rec[3] = byte(h.aux >> 8)
-		rec[4] = byte(h.aux >> 16)
-		rec[5] = byte(h.aux >> 24)
-		putU64(rec[6:], h.n)
-		out = append(out, rec[:]...)
+		out = binary.LittleEndian.AppendUint16(out, uint16(h.tag))
+		out = binary.LittleEndian.AppendUint32(out, h.aux)
+		out = binary.LittleEndian.AppendUint64(out, h.n)
 		out = append(out, payload...)
 		st.Objects++
 		st.PayloadBytes += int(psize)
@@ -143,39 +137,34 @@ func pointerCount(h header) int {
 // Unpickle reconstructs a pickled graph onto rt's heap, charging meter per
 // object and per payload byte, and returns the root object.
 func Unpickle(rt *Runtime, data []byte, meter *simtime.Meter) (Obj, error) {
-	if len(data) < len(pickleMagic)+8 || string(data[:len(pickleMagic)]) != pickleMagic {
+	rd := wire.NewReader(data)
+	if string(rd.Bytes(len(pickleMagic))) != pickleMagic {
 		return Obj{}, fmt.Errorf("%w: missing magic", ErrPickle)
 	}
-	p := len(pickleMagic)
-	count := getU64(data[p:])
-	p += 8
-
-	// Every record is at least 14 bytes, so the stream bounds the count
-	// a well-formed header can claim; never trust it further than that.
-	addrs := make([]uint64, 0, min(count, uint64(len(data)-p)/14))
+	// Every record is at least its 14-byte header, so the stream bounds
+	// the count a well-formed header can claim.
+	count := rd.Count(rd.U64(), 14)
+	if rd.Err() != nil {
+		return Obj{}, fmt.Errorf("%w: record count beyond the stream", ErrPickle)
+	}
+	addrs := make([]uint64, 0, count)
 	var objects int
 	var payloadBytes int
-	for r := uint64(0); r < count; r++ {
-		if p+14 > len(data) {
+	for r := 0; r < count; r++ {
+		h := header{tag: Tag(rd.U16()), aux: rd.U32(), n: rd.U64()}
+		if rd.Err() != nil {
 			return Obj{}, fmt.Errorf("%w: truncated record %d", ErrPickle, r)
 		}
-		h := header{
-			tag: Tag(uint16(data[p]) | uint16(data[p+1])<<8),
-			aux: uint32(data[p+2]) | uint32(data[p+3])<<8 | uint32(data[p+4])<<16 | uint32(data[p+5])<<24,
-			n:   getU64(data[p+6:]),
-		}
-		p += 14
 		if h.tag == TInvalid || h.tag >= numTags {
 			return Obj{}, fmt.Errorf("%w: tag %d", ErrPickle, h.tag)
 		}
-		size, ok := payloadSizeWithin(h, uint64(len(data)-p))
+		size, ok := payloadSizeWithin(h, uint64(rd.Len()))
 		if !ok {
 			return Obj{}, fmt.Errorf("%w: truncated payload %d", ErrPickle, r)
 		}
 		psize := int(size)
 		payload := make([]byte, psize)
-		copy(payload, data[p:p+psize])
-		p += psize
+		copy(payload, rd.Bytes(psize))
 		if nptr := pointerCount(h); nptr > 0 {
 			for i := 0; i < nptr; i++ {
 				idx := getU64(payload[i*PtrSize:])

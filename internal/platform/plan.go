@@ -1,8 +1,9 @@
 package platform
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"rmmap/internal/memsim"
 )
@@ -98,15 +99,18 @@ func GeneratePlan(w *Workflow) (*Plan, error) {
 		if budget < textSize+dataSize+stackSize+memsim.PageSize {
 			return nil, fmt.Errorf("platform: budget %d too small for %q", budget, f.Name)
 		}
+		if fit := (PlanLimit - next) / budget; uint64(f.Instances) > fit {
+			return nil, fmt.Errorf("platform: plan exceeds user address space at %s#%d", f.Name, fit)
+		}
 		for i := 0; i < f.Instances; i++ {
-			if next+budget > PlanLimit {
-				return nil, fmt.Errorf("platform: plan exceeds user address space at %s#%d", f.Name, i)
-			}
 			id := SlotID{f.Name, i}
 			p.slots[id] = layoutFor(Range{next, next + budget})
 			p.order = append(p.order, id)
 			next += budget
 		}
+	}
+	if err := p.Validate(); err != nil {
+		return nil, err
 	}
 	return p, nil
 }
@@ -120,27 +124,33 @@ func (p *Plan) Slot(id SlotID) (Layout, bool) {
 // Slots returns all slot IDs in plan order.
 func (p *Plan) Slots() []SlotID { return p.order }
 
-// Validate re-checks the disjointness invariant (used by tests and the
-// rmmap plan subcommand).
+// Validate re-checks the disjointness invariant (GeneratePlan runs it on
+// every plan it returns; UnmarshalJSON and the rmmap plan subcommand do
+// too).
 func (p *Plan) Validate() error {
 	type entry struct {
 		id SlotID
-		r  Range
+		l  Layout
 	}
-	entries := make([]entry, 0, len(p.slots))
-	for id, l := range p.slots {
-		entries = append(entries, entry{id, l.Range})
+	entries := make([]entry, 0, len(p.order))
+	for _, id := range p.order {
+		entries = append(entries, entry{id, p.slots[id]})
 	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].r.Start < entries[j].r.Start })
+	// A generated plan is already in address order; only a loaded one may
+	// need sorting.
+	byStart := func(a, b entry) int { return cmp.Compare(a.l.Start, b.l.Start) }
+	if !slices.IsSortedFunc(entries, byStart) {
+		slices.SortFunc(entries, byStart)
+	}
 	for i := 1; i < len(entries); i++ {
-		if entries[i-1].r.End > entries[i].r.Start {
+		if entries[i-1].l.End > entries[i].l.Start {
 			return fmt.Errorf("platform: plan overlap %v and %v", entries[i-1].id, entries[i].id)
 		}
 	}
-	for id, l := range p.slots {
-		if l.TextEnd > l.DataStart || l.DataEnd > l.HeapStart ||
+	for _, e := range entries {
+		if l := e.l; l.TextEnd > l.DataStart || l.DataEnd > l.HeapStart ||
 			l.HeapEnd > l.StackStart || l.StackEnd != l.Range.End || l.HeapStart >= l.HeapEnd {
-			return fmt.Errorf("platform: bad layout for %v", id)
+			return fmt.Errorf("platform: bad layout for %v", e.id)
 		}
 	}
 	return nil

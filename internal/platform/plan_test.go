@@ -103,11 +103,16 @@ func TestGeneratePlanDisjoint(t *testing.T) {
 }
 
 func TestPlanExceedsAddressSpace(t *testing.T) {
-	w := &Workflow{Name: "huge", Functions: []*FunctionSpec{{
-		Name: "f", Instances: 3000, MemBudget: 100 << 30, Handler: nopHandler,
-	}}}
-	if _, err := GeneratePlan(w); err == nil {
-		t.Error("plan exceeding 2^47 accepted")
+	for _, f := range []FunctionSpec{
+		{Name: "f", Instances: 3000, MemBudget: 100 << 30},
+		// next+budget wraps past 2^64: the bounds check must not.
+		{Name: "f", Instances: 2, MemBudget: ^uint64(1<<20 - 1)},
+	} {
+		f.Handler = nopHandler
+		w := &Workflow{Name: "huge", Functions: []*FunctionSpec{&f}}
+		if _, err := GeneratePlan(w); err == nil {
+			t.Errorf("plan of %d × %#x bytes accepted", f.Instances, f.MemBudget)
+		}
 	}
 }
 

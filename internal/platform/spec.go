@@ -52,6 +52,9 @@ func (s Spec) Build(reg HandlerRegistry) (*Workflow, error) {
 		if !ok {
 			return nil, fmt.Errorf("platform: spec references unknown handler %q", f.Handler)
 		}
+		if f.MemBudgetMB < 0 || uint64(f.MemBudgetMB) > PlanLimit>>20 {
+			return nil, fmt.Errorf("platform: mem_budget_mb %d for %q outside [0, %d]", f.MemBudgetMB, f.Name, PlanLimit>>20)
+		}
 		lang := objrt.LangPython
 		switch f.Lang {
 		case "", "python":

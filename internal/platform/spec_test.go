@@ -99,6 +99,15 @@ func TestSpecErrors(t *testing.T) {
 		t.Error("unknown lang accepted")
 	}
 	spec.Functions[0].Lang = ""
+	// A negative or oversized budget used to wrap the planner's bounds
+	// check into a slot with End < Start.
+	for _, mb := range []int{-1, 17592186044415} {
+		spec.Functions[0].MemBudgetMB = mb
+		if _, err := spec.Build(testRegistry()); err == nil {
+			t.Errorf("mem_budget_mb %d accepted", mb)
+		}
+	}
+	spec.Functions[0].MemBudgetMB = 0
 	spec.Edges = append(spec.Edges, [2]string{"load", "extract"}) // cycle
 	if _, err := spec.Build(testRegistry()); err == nil {
 		t.Error("cyclic spec accepted")

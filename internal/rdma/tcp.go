@@ -12,6 +12,7 @@ import (
 
 	"rmmap/internal/memsim"
 	"rmmap/internal/simtime"
+	"rmmap/internal/wire"
 )
 
 // TCPFabric moves the same bytes as SimFabric over real TCP sockets. It
@@ -218,19 +219,16 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 }
 
 func (s *TCPServer) dispatch(req []byte) ([]byte, error) {
-	if len(req) < 1 {
-		return nil, fmt.Errorf("rdma/tcp: empty request")
-	}
-	body := req[1:]
-	switch req[0] {
+	r := wire.NewReader(req)
+	switch op := r.U8(); op {
 	case opRead:
-		if len(body) != 16 {
+		pfn := memsim.PFN(r.U64())
+		off := int(r.U32())
+		n := int(r.U32())
+		if !r.Done() {
 			return nil, fmt.Errorf("rdma/tcp: bad read request")
 		}
-		pfn := memsim.PFN(binary.LittleEndian.Uint64(body))
-		off := int(binary.LittleEndian.Uint32(body[8:]))
-		n := int(binary.LittleEndian.Uint32(body[12:]))
-		if off < 0 || n < 0 || off+n > memsim.PageSize {
+		if off+n > memsim.PageSize {
 			return nil, fmt.Errorf("rdma/tcp: read out of page bounds")
 		}
 		buf := make([]byte, n)
@@ -239,19 +237,15 @@ func (s *TCPServer) dispatch(req []byte) ([]byte, error) {
 		}
 		return buf, nil
 	case opBatch:
-		if len(body) < 4 {
+		count := r.Count(uint64(r.U32()), 12)
+		if r.Err() != nil || r.Len() != 12*count {
 			return nil, fmt.Errorf("rdma/tcp: bad batch request")
-		}
-		count := int(binary.LittleEndian.Uint32(body))
-		body = body[4:]
-		if len(body) != count*12 {
-			return nil, fmt.Errorf("rdma/tcp: bad batch body")
 		}
 		var out []byte
 		for i := 0; i < count; i++ {
-			pfn := memsim.PFN(binary.LittleEndian.Uint64(body[i*12:]))
-			n := int(binary.LittleEndian.Uint32(body[i*12+8:]))
-			if n < 0 || n > memsim.PageSize {
+			pfn := memsim.PFN(r.U64())
+			n := int(r.U32())
+			if n > memsim.PageSize {
 				return nil, fmt.Errorf("rdma/tcp: batch entry too large")
 			}
 			buf := make([]byte, n)
@@ -262,39 +256,28 @@ func (s *TCPServer) dispatch(req []byte) ([]byte, error) {
 		}
 		return out, nil
 	case opWrite:
-		if len(body) < 4 {
-			return nil, fmt.Errorf("rdma/tcp: bad write request")
-		}
-		count := int(binary.LittleEndian.Uint32(body))
-		body = body[4:]
-		for i := 0; i < count; i++ {
-			if len(body) < 12 {
-				return nil, fmt.Errorf("rdma/tcp: bad write body")
-			}
-			pfn := memsim.PFN(binary.LittleEndian.Uint64(body))
-			n := int(binary.LittleEndian.Uint32(body[8:]))
-			body = body[12:]
-			if n < 0 || n > memsim.PageSize || len(body) < n {
+		count := r.Count(uint64(r.U32()), 12)
+		for i := 0; i < count && r.Err() == nil; i++ {
+			pfn := memsim.PFN(r.U64())
+			n := int(r.U32())
+			if n > memsim.PageSize {
 				return nil, fmt.Errorf("rdma/tcp: write entry too large")
 			}
-			if err := s.machine.WriteFrameErr(pfn, 0, body[:n]); err != nil {
-				return nil, err
+			if data := r.Bytes(n); data != nil {
+				if err := s.machine.WriteFrameErr(pfn, 0, data); err != nil {
+					return nil, err
+				}
 			}
-			body = body[n:]
 		}
-		if len(body) != 0 {
-			return nil, fmt.Errorf("rdma/tcp: trailing write bytes")
+		if !r.Done() {
+			return nil, fmt.Errorf("rdma/tcp: bad write request")
 		}
 		return nil, nil
 	case opRPC:
-		if len(body) < 2 {
+		ep := string(r.Bytes(int(r.U16())))
+		if r.Err() != nil {
 			return nil, fmt.Errorf("rdma/tcp: bad rpc request")
 		}
-		epLen := int(binary.LittleEndian.Uint16(body))
-		if len(body) < 2+epLen {
-			return nil, fmt.Errorf("rdma/tcp: bad rpc endpoint")
-		}
-		ep := string(body[2 : 2+epLen])
 		s.mu.Lock()
 		h := s.handlers[ep]
 		s.mu.Unlock()
@@ -303,9 +286,9 @@ func (s *TCPServer) dispatch(req []byte) ([]byte, error) {
 		}
 		// RPC handlers on the TCP path charge a throwaway meter: the
 		// remote side's virtual time is not on this wall-clock path.
-		return h(simtime.NewMeter(), body[2+epLen:])
+		return h(simtime.NewMeter(), r.Bytes(r.Len()))
 	default:
-		return nil, fmt.Errorf("rdma/tcp: unknown op %d", req[0])
+		return nil, fmt.Errorf("rdma/tcp: unknown op %d", op)
 	}
 }
 
@@ -314,7 +297,8 @@ func readMsg(r io.Reader) ([]byte, error) {
 	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
 		return nil, err
 	}
-	n := binary.LittleEndian.Uint32(lenBuf[:])
+	hdr := wire.NewReader(lenBuf[:])
+	n := hdr.U32()
 	if n > 64<<20 {
 		return nil, fmt.Errorf("rdma/tcp: message too large: %d", n)
 	}
@@ -327,8 +311,7 @@ func readMsg(r io.Reader) ([]byte, error) {
 
 func writeMsg(w io.Writer, msg []byte) error {
 	var lenBuf [4]byte
-	binary.LittleEndian.PutUint32(lenBuf[:], uint32(len(msg)))
-	if _, err := w.Write(lenBuf[:]); err != nil {
+	if _, err := w.Write(binary.LittleEndian.AppendUint32(lenBuf[:0], uint32(len(msg)))); err != nil {
 		return err
 	}
 	_, err := w.Write(msg)
@@ -494,11 +477,10 @@ func (n *TCPNIC) Read(m *simtime.Meter, target memsim.MachineID, pfn memsim.PFN,
 		n.local.ReadFrame(pfn, off, buf)
 		return nil
 	}
-	req := make([]byte, 17)
-	req[0] = opRead
-	binary.LittleEndian.PutUint64(req[1:], uint64(pfn))
-	binary.LittleEndian.PutUint32(req[9:], uint32(off))
-	binary.LittleEndian.PutUint32(req[13:], uint32(len(buf)))
+	req := append(make([]byte, 0, 17), opRead)
+	req = binary.LittleEndian.AppendUint64(req, uint64(pfn))
+	req = binary.LittleEndian.AppendUint32(req, uint32(off))
+	req = binary.LittleEndian.AppendUint32(req, uint32(len(buf)))
 	n.chargeConnect(m, target)
 	resp, err := n.roundtrip(target, req)
 	if err != nil {
@@ -528,13 +510,12 @@ func (n *TCPNIC) ReadPagesCat(m *simtime.Meter, cat simtime.Category, target mem
 		}
 		return nil
 	}
-	req := make([]byte, 5+12*len(reqs))
-	req[0] = opBatch
-	binary.LittleEndian.PutUint32(req[1:], uint32(len(reqs)))
+	req := append(make([]byte, 0, 5+12*len(reqs)), opBatch)
+	req = binary.LittleEndian.AppendUint32(req, uint32(len(reqs)))
 	total := 0
-	for i, r := range reqs {
-		binary.LittleEndian.PutUint64(req[5+i*12:], uint64(r.PFN))
-		binary.LittleEndian.PutUint32(req[5+i*12+8:], uint32(len(r.Buf)))
+	for _, r := range reqs {
+		req = binary.LittleEndian.AppendUint64(req, uint64(r.PFN))
+		req = binary.LittleEndian.AppendUint32(req, uint32(len(r.Buf)))
 		total += len(r.Buf)
 	}
 	n.chargeConnect(m, target)
@@ -575,14 +556,11 @@ func (n *TCPNIC) WritePagesCat(m *simtime.Meter, cat simtime.Category, target me
 	for _, r := range reqs {
 		total += len(r.Data)
 	}
-	req := make([]byte, 5, 5+12*len(reqs)+total)
-	req[0] = opWrite
-	binary.LittleEndian.PutUint32(req[1:], uint32(len(reqs)))
-	var hdr [12]byte
+	req := append(make([]byte, 0, 5+12*len(reqs)+total), opWrite)
+	req = binary.LittleEndian.AppendUint32(req, uint32(len(reqs)))
 	for _, r := range reqs {
-		binary.LittleEndian.PutUint64(hdr[:], uint64(r.PFN))
-		binary.LittleEndian.PutUint32(hdr[8:], uint32(len(r.Data)))
-		req = append(req, hdr[:]...)
+		req = binary.LittleEndian.AppendUint64(req, uint64(r.PFN))
+		req = binary.LittleEndian.AppendUint32(req, uint32(len(r.Data)))
 		req = append(req, r.Data...)
 	}
 	n.chargeConnect(m, target)
@@ -607,11 +585,9 @@ func (n *TCPNIC) Call(m *simtime.Meter, target memsim.MachineID, endpoint string
 // CallCat is Call with an explicit charge category, matching the SimFabric
 // NIC so category attribution survives a switch to the TCP byte transport.
 func (n *TCPNIC) CallCat(m *simtime.Meter, cat simtime.Category, target memsim.MachineID, endpoint string, req []byte) ([]byte, error) {
-	msg := make([]byte, 3+len(endpoint)+len(req))
-	msg[0] = opRPC
-	binary.LittleEndian.PutUint16(msg[1:], uint16(len(endpoint)))
-	copy(msg[3:], endpoint)
-	copy(msg[3+len(endpoint):], req)
+	msg := append(make([]byte, 0, 3+len(endpoint)+len(req)), opRPC)
+	msg = binary.LittleEndian.AppendUint16(msg, uint16(len(endpoint)))
+	msg = append(append(msg, endpoint...), req...)
 	n.chargeConnect(m, target)
 	resp, err := n.roundtrip(target, msg)
 	if err != nil {
