@@ -34,19 +34,13 @@ func runLoad(args []string, stdout, stderr io.Writer) int {
 	burstEvery := fs.Duration("burst-every", 500*time.Millisecond, "burst period")
 	burstLen := fs.Duration("burst-len", 100*time.Millisecond, "burst window length")
 	horizon := fs.Duration("horizon", 2*time.Second, "virtual-time arrival horizon")
-	tenants := fs.Int("tenants", 1000, "virtual tenants submitting requests")
+	tenants := fs.Int("tenants", 1000, "tenant labels spread over the arrivals (admission ignores them)")
 	deadline := fs.Duration("deadline", 0, "per-request relative deadline (0: none)")
 	seed := fs.Uint64("seed", 1, "arrival-schedule seed; same seed, same schedule")
 	coldStart := fs.Bool("cold-start", false, "charge container cold starts")
 
 	queueLimit := fs.Int("queue-limit", admit.DefaultQueueLimit, "admission queue bound")
 	maxInflight := fs.Int("max-inflight", admit.DefaultMaxInflight, "max concurrently running requests")
-	queuePolicy := fs.String("queue-policy", "fifo", "admission dequeue order: fifo or deadline")
-	regWatermark := fs.Int("reg-watermark", 0, "live-registration backpressure watermark (0: off)")
-	quotaRate := fs.Float64("quota-rate", 0, "per-tenant token refill rate, requests per virtual second (0: unlimited)")
-	quotaBurst := fs.Float64("quota-burst", 0, "per-tenant token-bucket capacity")
-	breakerThreshold := fs.Int("breaker-threshold", admit.DefaultBreakerThreshold, "consecutive bad outcomes that trip a tenant's breaker")
-	breakerCooldown := fs.Duration("breaker-cooldown", 0, "open-breaker cooldown before half-opening (0: default)")
 
 	curve := fs.String("curve", "", "comma-separated offered-load multipliers for the goodput-vs-offered curve (e.g. 0.5,1,2,4)")
 	saveTrace := fs.String("save-trace", "", "write the generated arrival schedule as JSONL and exit")
@@ -103,11 +97,6 @@ func runLoad(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	policy, err := admit.ParsePolicy(*queuePolicy)
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 1
-	}
 	m, err := platform.ParseMode(cf.mode)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
@@ -120,25 +109,17 @@ func runLoad(args []string, stdout, stderr io.Writer) int {
 	}
 
 	spec := load.SoakSpec{
-		Workflow: cf.workflow,
-		Small:    cf.small,
-		Mode:     m,
-		Machines: cf.machines,
-		Pods:     cf.pods,
-		Workers:  cf.workers,
-		Topology: cf.topology,
-		Gen:      gen,
-		Events:   events,
-		Plan:     plan,
-		Admission: admit.Config{
-			QueueLimit:       *queueLimit,
-			MaxInflight:      *maxInflight,
-			Policy:           policy,
-			RegWatermark:     *regWatermark,
-			Quota:            admit.Quota{Rate: *quotaRate, Burst: *quotaBurst},
-			BreakerThreshold: *breakerThreshold,
-			BreakerCooldown:  simtime.Duration(breakerCooldown.Nanoseconds()),
-		},
+		Workflow:         cf.workflow,
+		Small:            cf.small,
+		Mode:             m,
+		Machines:         cf.machines,
+		Pods:             cf.pods,
+		Workers:          cf.workers,
+		Topology:         cf.topology,
+		Gen:              gen,
+		Events:           events,
+		Plan:             plan,
+		Admission:        admit.Config{QueueLimit: *queueLimit, MaxInflight: *maxInflight},
 		Replicas:         cf.replicas,
 		ColdStart:        *coldStart,
 		CurveMultipliers: multipliers,
@@ -156,9 +137,10 @@ func runLoad(args []string, stdout, stderr io.Writer) int {
 		res.OfferedRPS(), res.GoodputRPS(), 100*res.ShedRate(),
 		res.Percentile(0.50).Millis(), res.Percentile(0.99).Millis(), res.ColdStartRate())
 	a := res.Admission
-	fmt.Fprintf(stdout, "sheds: queue-full=%d quota=%d breaker=%d backpressure=%d deadline=%d; breaker trips=%d\n",
-		a.ShedQueueFull, a.ShedQuota, a.ShedBreaker, a.ShedBackpressure, a.ShedDeadline, a.BreakerTrips)
+	fmt.Fprintf(stdout, "sheds: queue-full=%d deadline=%d\n", a.ShedQueueFull, a.ShedDeadline)
 	fmt.Fprintf(stdout, "injected faults: %d\n", soak.Injected)
+	fmt.Fprintf(stdout, "recovery: failovers=%d reexecs=%d partition-waits=%d fallbacks=%d\n",
+		res.Failovers, res.Reexecs, res.PartitionWaits, res.Fallbacks)
 	for i, p := range soak.Curve {
 		fmt.Fprintf(stdout, "  x%g: offered %.1f req/s -> goodput %.1f req/s (shed %.1f%%, p99 %.3fms)\n",
 			multipliers[i], p.OfferedRPS(), p.GoodputRPS(), 100*p.ShedRate(), p.Percentile(0.99).Millis())

@@ -36,15 +36,15 @@
 //	           [-burst-every 500ms] [-burst-len 100ms] [-horizon 2s]
 //	           [-tenants 1000] [-deadline 0] [-seed 1] [-plan plan.json]
 //	           [-topology two-rack | -topology topo.json]
-//	           [-queue-limit 256] [-max-inflight 64] [-queue-policy fifo]
-//	           [-quota-rate 0] [-quota-burst 0] [-breaker-threshold 8]
+//	           [-queue-limit 256] [-max-inflight 64]
 //	           [-curve 0.25,0.5,1,2,4] [-save-trace t.jsonl | -trace t.jsonl]
 //	           [-json BENCH_scale.json]
 //
-// load drives open-loop multi-tenant arrivals through the
-// admission-controlled engine, optionally under a fault plan, and writes
-// the BENCH_scale.json scale report in bench -json's schema (DESIGN.md
-// §11). A rate no schedule can advance at exits 1.
+// load drives open-loop arrivals through the admission-controlled engine,
+// optionally under a fault plan, and writes the BENCH_scale.json scale
+// report in bench -json's schema (DESIGN.md §11). Tenants label the
+// arrivals; admission ignores them. A rate no schedule can advance at
+// exits 1.
 //
 //	rmmap net [-rows 5000] [-addr 127.0.0.1:0]
 //

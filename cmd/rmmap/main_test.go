@@ -36,6 +36,13 @@ func TestSubcommands(t *testing.T) {
 		{[]string{"load", "-workflow", "wordcount", "-small", "-horizon", "100ms", "-tenants", "20",
 			"-mode", "rmmap-prefetch", "-replicas", "1", "-plan", "plans/crash-failover.json"}, 0,
 			"wordcount (rmmap(prefetch)): 20 tenants, "},
+		// The retired per-tenant admission flags are unknown flags now.
+		{[]string{"load", "-queue-policy", "deadline"}, 2, ""},
+		{[]string{"load", "-reg-watermark", "1"}, 2, ""},
+		{[]string{"load", "-quota-rate", "1"}, 2, ""},
+		{[]string{"load", "-quota-burst", "1"}, 2, ""},
+		{[]string{"load", "-breaker-threshold", "1"}, 2, ""},
+		{[]string{"load", "-breaker-cooldown", "1ms"}, 2, ""},
 		{[]string{"net", "-rows", "500"}, 0, "producer serving frames + RMMAP RPC on 127.0.0.1:"},
 		{[]string{"plan"}, 0, `workflow "finra": `},
 		{[]string{"trace", "-scale", "0.02", "-machines", "4", "-pods", "8"}, 0, "FINRA / rmmap(prefetch): 1 request(s)"},

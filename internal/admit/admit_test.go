@@ -3,138 +3,7 @@ package admit
 import (
 	"errors"
 	"testing"
-
-	"rmmap/internal/simtime"
 )
-
-func TestParsePolicy(t *testing.T) {
-	if p, err := ParsePolicy("fifo"); err != nil || p != PolicyFIFO {
-		t.Fatalf("fifo: got %v, %v", p, err)
-	}
-	if p, err := ParsePolicy("deadline"); err != nil || p != PolicyDeadline {
-		t.Fatalf("deadline: got %v, %v", p, err)
-	}
-	if _, err := ParsePolicy("lifo"); err == nil {
-		t.Fatal("lifo: want error")
-	}
-}
-
-func TestBucket(t *testing.T) {
-	var b bucket
-	// Unlimited quota: always admits, never touches state.
-	for i := 0; i < 100; i++ {
-		if !b.take(0, Quota{}) {
-			t.Fatal("unlimited quota denied")
-		}
-	}
-	// Deny-all quota.
-	if b.take(0, Quota{Burst: -1}) {
-		t.Fatal("deny-all quota admitted")
-	}
-
-	// Rate 1000/s, burst 2: starts full, drains, refills with virtual time.
-	b = bucket{}
-	q := Quota{Rate: 1000, Burst: 2}
-	if !b.take(0, q) || !b.take(0, q) {
-		t.Fatal("bucket did not start full")
-	}
-	if b.take(0, q) {
-		t.Fatal("empty bucket admitted")
-	}
-	// One token refills after 1ms at 1000/s.
-	at := simtime.Time(0).Add(simtime.Millisecond)
-	if !b.take(at, q) {
-		t.Fatal("bucket did not refill")
-	}
-	if b.take(at, q) {
-		t.Fatal("bucket refilled beyond elapsed time")
-	}
-	// Refill caps at burst: after a long idle stretch only 2 tokens exist.
-	at = at.Add(simtime.Second)
-	if !b.take(at, q) || !b.take(at, q) {
-		t.Fatal("bucket below burst after long idle")
-	}
-	if b.take(at, q) {
-		t.Fatal("bucket exceeded burst cap")
-	}
-
-	// Burst 0 with a positive rate floors at capacity 1.
-	b = bucket{}
-	q = Quota{Rate: 10}
-	if !b.take(0, q) {
-		t.Fatal("burst-0 bucket did not admit first take")
-	}
-	if b.take(0, q) {
-		t.Fatal("burst-0 bucket admitted twice at the same instant")
-	}
-}
-
-func TestBreakerLifecycle(t *testing.T) {
-	const threshold = 3
-	const cooldown = simtime.Millisecond
-	var b breaker
-
-	// Closed admits; bad outcomes below threshold don't trip.
-	for i := 0; i < threshold-1; i++ {
-		if ok, _ := b.allow(0, cooldown); !ok {
-			t.Fatal("closed breaker rejected")
-		}
-		if tr := b.record(0, false, threshold, cooldown); tr != TransitionNone {
-			t.Fatalf("premature transition %v", tr)
-		}
-	}
-	// A good outcome resets the streak.
-	if tr := b.record(0, true, threshold, cooldown); tr != TransitionNone {
-		t.Fatalf("good outcome transitioned %v", tr)
-	}
-	// Now threshold consecutive bads trip it.
-	for i := 0; i < threshold; i++ {
-		want := TransitionNone
-		if i == threshold-1 {
-			want = TransitionOpen
-		}
-		if tr := b.record(0, false, threshold, cooldown); tr != want {
-			t.Fatalf("bad %d: transition %v, want %v", i, tr, want)
-		}
-	}
-	if b.state != BreakerOpen {
-		t.Fatalf("state %v, want open", b.state)
-	}
-	// Open rejects until the cooldown elapses.
-	if ok, _ := b.allow(simtime.Time(cooldown)-1, cooldown); ok {
-		t.Fatal("open breaker admitted before cooldown")
-	}
-	// Outcomes landing while open (pre-trip stragglers) are ignored.
-	if tr := b.record(0, true, threshold, cooldown); tr != TransitionNone {
-		t.Fatalf("open breaker transitioned on straggler: %v", tr)
-	}
-	// Cooldown elapsed: half-opens and admits exactly one probe.
-	ok, tr := b.allow(simtime.Time(cooldown), cooldown)
-	if !ok || tr != TransitionHalfOpen {
-		t.Fatalf("half-open: ok=%v tr=%v", ok, tr)
-	}
-	if ok, _ := b.allow(simtime.Time(cooldown), cooldown); ok {
-		t.Fatal("half-open admitted a second concurrent probe")
-	}
-	// Failed probe re-opens with a fresh cooldown.
-	if tr := b.record(simtime.Time(cooldown), false, threshold, cooldown); tr != TransitionOpen {
-		t.Fatalf("failed probe: transition %v", tr)
-	}
-	if ok, _ := b.allow(simtime.Time(cooldown)+1, cooldown); ok {
-		t.Fatal("re-opened breaker admitted inside new cooldown")
-	}
-	// Second probe succeeds and closes.
-	ok, tr = b.allow(simtime.Time(2*cooldown), cooldown)
-	if !ok || tr != TransitionHalfOpen {
-		t.Fatalf("second half-open: ok=%v tr=%v", ok, tr)
-	}
-	if tr := b.record(simtime.Time(2*cooldown), true, threshold, cooldown); tr != TransitionClosed {
-		t.Fatalf("good probe: transition %v", tr)
-	}
-	if b.state != BreakerClosed || b.bad != 0 {
-		t.Fatalf("after close: state=%v bad=%d", b.state, b.bad)
-	}
-}
 
 func TestShedErrorUnwrap(t *testing.T) {
 	over := &ShedError{Tenant: "a", Reason: ReasonQueueFull}
@@ -144,6 +13,10 @@ func TestShedErrorUnwrap(t *testing.T) {
 	dl := &ShedError{Tenant: "a", Reason: ReasonDeadline}
 	if !errors.Is(dl, ErrDeadlineExceeded) || errors.Is(dl, ErrOverloaded) {
 		t.Fatalf("deadline shed unwraps wrong: %v", dl)
+	}
+	down := &ShedError{Tenant: "a", Reason: ReasonControlPlane}
+	if !errors.Is(down, ErrControlPlaneDown) || errors.Is(down, ErrOverloaded) {
+		t.Fatalf("control-plane shed unwraps wrong: %v", down)
 	}
 }
 
@@ -182,74 +55,6 @@ func TestSubmitRunQueueShed(t *testing.T) {
 	}
 }
 
-func TestSubmitQuotaAndBackpressure(t *testing.T) {
-	c := NewController(Config{
-		Quota:        Quota{Rate: 1, Burst: 1},
-		TenantQuota:  map[string]Quota{"vip": {}},
-		RegWatermark: 10,
-	})
-	// Default quota: one token, then quota sheds.
-	if act, _ := c.Submit(0, &Request{Tenant: "a"}, 0, 0); act != ActionRun {
-		t.Fatal("first a rejected")
-	}
-	act, reason := c.Submit(0, &Request{Tenant: "a"}, 0, 0)
-	if act != ActionShed || reason != ReasonQuota {
-		t.Fatalf("second a: %v %v", act, reason)
-	}
-	// Per-tenant override: vip is unlimited.
-	for i := 0; i < 5; i++ {
-		if act, _ := c.Submit(0, &Request{Tenant: "vip"}, 0, 0); act != ActionRun {
-			t.Fatalf("vip submit %d rejected", i)
-		}
-	}
-	// Watermark crossed: backpressure shed even for vip.
-	act, reason = c.Submit(0, &Request{Tenant: "vip"}, 0, 10)
-	if act != ActionShed || reason != ReasonBackpressure {
-		t.Fatalf("watermark submit: %v %v", act, reason)
-	}
-	s := c.Stats()
-	if s.ShedQuota != 1 || s.ShedBackpressure != 1 {
-		t.Fatalf("stats %+v", s)
-	}
-}
-
-func TestSubmitBreakerShedsBeforeQuota(t *testing.T) {
-	// Threshold 2, deny-all quota: two quota sheds trip the breaker, after
-	// which sheds are breaker sheds (quota untouched) until cooldown.
-	c := NewController(Config{
-		Quota:            Quota{Burst: -1},
-		BreakerThreshold: 2,
-		BreakerCooldown:  simtime.Millisecond,
-	})
-	for i := 0; i < 2; i++ {
-		if _, reason := c.Submit(0, &Request{Tenant: "a"}, 0, 0); reason != ReasonQuota {
-			t.Fatalf("submit %d: %v", i, reason)
-		}
-	}
-	if st := c.TenantBreaker("a"); st != BreakerOpen {
-		t.Fatalf("breaker %v after threshold sheds", st)
-	}
-	if _, reason := c.Submit(0, &Request{Tenant: "a"}, 0, 0); reason != ReasonBreaker {
-		t.Fatalf("tripped submit: %v", reason)
-	}
-	// Breaker sheds must not feed the breaker: the cooldown still elapses
-	// and the tenant half-opens.
-	at := simtime.Time(simtime.Millisecond)
-	if _, reason := c.Submit(at, &Request{Tenant: "a"}, 0, 0); reason != ReasonQuota {
-		t.Fatalf("half-open probe: %v (want the quota to shed the probe)", reason)
-	}
-	s := c.Stats()
-	if s.ShedBreaker != 1 || s.BreakerTrips < 1 || s.BreakerHalfOpens != 1 {
-		t.Fatalf("stats %+v", s)
-	}
-	if got := len(c.TakeTransitions()); got != s.BreakerTrips+s.BreakerHalfOpens+s.BreakerCloses {
-		t.Fatalf("transition log %d entries, stats %+v", got, s)
-	}
-	if len(c.TakeTransitions()) != 0 {
-		t.Fatal("TakeTransitions did not drain")
-	}
-}
-
 func TestNextFIFO(t *testing.T) {
 	c := NewController(Config{MaxInflight: 1})
 	a, b := &Request{Tenant: "a", Payload: "a"}, &Request{Tenant: "b", Payload: "b"}
@@ -268,19 +73,21 @@ func TestNextFIFO(t *testing.T) {
 	}
 }
 
+// TestNextDeadlineOrder: deadlines decide only when a request sheds, never
+// the order the queue serves requests in.
 func TestNextDeadlineOrder(t *testing.T) {
-	c := NewController(Config{MaxInflight: 1, Policy: PolicyDeadline})
+	c := NewController(Config{MaxInflight: 1})
 	late := &Request{Tenant: "t", Deadline: 300, Payload: "late"}
 	none1 := &Request{Tenant: "t", Payload: "none1"}
 	early := &Request{Tenant: "t", Deadline: 100, Payload: "early"}
 	tie := &Request{Tenant: "t", Deadline: 100, Payload: "tie"}
 	none2 := &Request{Tenant: "t", Payload: "none2"}
-	for _, r := range []*Request{late, none1, early, tie, none2} {
+	want := []*Request{late, none1, early, tie, none2}
+	for _, r := range want {
 		if act, _ := c.Submit(0, r, 1, 0); act != ActionQueue {
 			t.Fatalf("%v not queued: %v", r.Payload, act)
 		}
 	}
-	want := []*Request{early, tie, late, none1, none2}
 	for i, w := range want {
 		r, reason, ok := c.Next(0)
 		if !ok || reason != ReasonNone || r != w {
@@ -299,11 +106,11 @@ func TestNextExpiredAndDrop(t *testing.T) {
 	c.Submit(0, gone, 1, 0)
 
 	// Drop removes by payload identity and counts a deadline shed.
-	if r, ok := c.Drop(20, "gone"); !ok || r != gone {
+	if r, ok := c.Drop("gone"); !ok || r != gone {
 		t.Fatalf("drop: %v %v", r, ok)
 	}
 	// A second drop of the same payload is a no-op.
-	if _, ok := c.Drop(20, "gone"); ok {
+	if _, ok := c.Drop("gone"); ok {
 		t.Fatal("double drop succeeded")
 	}
 
@@ -318,32 +125,24 @@ func TestNextExpiredAndDrop(t *testing.T) {
 		t.Fatalf("live pop: %v %v %v", r, reason, ok)
 	}
 	s := c.Stats()
-	if s.ShedDeadline != 2 || s.Admitted != 1 {
-		t.Fatalf("stats %+v", s)
+	if s.ShedDeadline != 2 || s.Admitted != 1 || c.QueueLen() != 0 {
+		t.Fatalf("stats %+v, queue %d", s, c.QueueLen())
 	}
 }
 
 func TestRecordOutcomes(t *testing.T) {
-	c := NewController(Config{BreakerThreshold: 2, BreakerCooldown: simtime.Millisecond})
-	// Deadline outcomes count as sheds and trip the breaker at threshold.
-	c.Record(0, "t", OutcomeDeadline)
-	if st := c.TenantBreaker("t"); st != BreakerClosed {
-		t.Fatalf("breaker %v after one deadline", st)
+	c := NewController(Config{})
+	// Only a mid-run deadline miss counts, and only as a deadline shed:
+	// no number of them changes what the next arrival gets.
+	for i := 0; i < 2*DefaultQueueLimit; i++ {
+		c.Record(0, "t", OutcomeDeadline)
 	}
-	c.Record(0, "t", OutcomeDeadline)
-	if st := c.TenantBreaker("t"); st != BreakerOpen {
-		t.Fatalf("breaker %v after threshold deadlines", st)
-	}
+	c.Record(0, "t", OutcomeOK)
 	s := c.Stats()
-	if s.ShedDeadline != 2 || s.BreakerTrips != 1 {
+	if s.ShedDeadline != 2*DefaultQueueLimit || s.Sheds() != s.ShedDeadline || s.Admitted != 0 {
 		t.Fatalf("stats %+v", s)
 	}
-	// Plain errors are not overload evidence: they reset the streak.
-	c2 := NewController(Config{BreakerThreshold: 2})
-	c2.Record(0, "t", OutcomeDeadline)
-	c2.Record(0, "t", OutcomeError)
-	c2.Record(0, "t", OutcomeDeadline)
-	if st := c2.TenantBreaker("t"); st != BreakerClosed {
-		t.Fatalf("breaker %v: OutcomeError should reset the bad streak", st)
+	if act, _ := c.Submit(0, &Request{Tenant: "t"}, 0, 0); act != ActionRun {
+		t.Fatalf("submit after deadline misses: %v, want run", act)
 	}
 }

@@ -1,8 +1,10 @@
-// Package admit implements the platform's overload-control layer: per-
-// tenant token-bucket quotas, a bounded admission queue with a pluggable
-// dequeue policy (FIFO or earliest-deadline-first), coordinator
-// backpressure watermarks, and a per-tenant circuit breaker that trips on
-// consecutive shed/timeout outcomes and half-opens in virtual time.
+// Package admit implements the platform's admission layer: a cap on
+// concurrently running requests (MaxInflight), a bounded FIFO queue in
+// front of it, and the typed sheds that bound the queue — queue-full on
+// arrival and deadline expiry in the queue or mid-run. The engine adds a
+// fourth shed, control-plane-down, without consulting the Controller.
+// Tenant names are labels only: no decision reads them, so a schedule's
+// outcome does not depend on how its requests are split across tenants.
 //
 // The package is engine-agnostic and single-threaded by design: the
 // platform engine calls the Controller only from the simulator thread, so

@@ -325,7 +325,9 @@ func TestDifferentialDeterminismChaosPlans(t *testing.T) {
 // admission control) under each fault plan must render to byte-identical
 // rmmap load -json bytes at Workers ∈ {1, 8} and across two fresh runs.
 // The plans are an inline RPC-fault rule with a partition window, run
-// with a goodput curve, and the two example chaos plans.
+// with a goodput curve, and the two soak-timed plans CI's chaos soak runs.
+// Each plan must fire: a crash that lands before the first arrival, or a
+// partition no request crosses, would make the comparison vacuous.
 func TestDifferentialDeterminismSoak(t *testing.T) {
 	examples := load.SoakSpec{
 		Gen: load.BurstSpec{BaseRate: 150, BurstRate: 500, BurstEvery: 100 * simtime.Millisecond,
@@ -336,6 +338,7 @@ func TestDifferentialDeterminismSoak(t *testing.T) {
 	for _, sc := range []struct {
 		name, path string
 		spec       load.SoakSpec
+		fired      func(load.Result) bool
 	}{
 		{name: "rule-partition", spec: load.SoakSpec{
 			Gen: load.BurstSpec{BaseRate: 150, BurstRate: 600, BurstEvery: 200 * simtime.Millisecond,
@@ -346,9 +349,11 @@ func TestDifferentialDeterminismSoak(t *testing.T) {
 				Partitions: []faults.Partition{{From: 1, To: 0,
 					After: simtime.Time(100 * simtime.Millisecond), Until: simtime.Time(150 * simtime.Millisecond)}}},
 			CurveMultipliers: []float64{0.5, 1, 2},
-		}},
-		{name: "crash-failover", path: "../../cmd/rmmap/plans/crash-failover.json", spec: examples},
-		{name: "partition-heal", path: "../../cmd/rmmap/plans/partition-heal.json", spec: examples},
+		}, fired: func(r load.Result) bool { return r.PartitionWaits >= 1 }},
+		{name: "crash-failover", path: "../../cmd/rmmap/plans/soak-crash-failover.json", spec: examples,
+			fired: func(r load.Result) bool { return r.Failovers+r.Reexecs >= 1 }},
+		{name: "partition-heal", path: "../../cmd/rmmap/plans/soak-partition-heal.json", spec: examples,
+			fired: func(r load.Result) bool { return r.PartitionWaits >= 1 }},
 	} {
 		t.Run(sc.name, func(t *testing.T) {
 			t.Parallel()
@@ -371,6 +376,10 @@ func TestDifferentialDeterminismSoak(t *testing.T) {
 				}
 				if soak.Result.Completed == 0 || len(soak.Curve) != len(spec.CurveMultipliers) {
 					t.Fatalf("soak did no work or lost its curve: %+v", soak.Result)
+				}
+				if r := soak.Result; !sc.fired(r) {
+					t.Fatalf("plan did not fire: failovers %d, reexecs %d, partition waits %d",
+						r.Failovers, r.Reexecs, r.PartitionWaits)
 				}
 				var buf bytes.Buffer
 				rep := Report{Topology: "flat", Experiments: []ReportRun{{ID: "soak", Tables: SoakTables(soak)}}}

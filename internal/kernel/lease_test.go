@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"testing"
 
@@ -302,5 +303,63 @@ func TestDeregisterDropsReplicas(t *testing.T) {
 	}
 	if got := c.machines[1].LiveFrames(); got >= live {
 		t.Fatalf("backup frames not freed: %d live, had %d", got, live)
+	}
+}
+
+// TestReplPrepareBoundsFrames: a replica prepare request allocates one
+// backup frame per record, so a request whose records its own range cannot
+// account for — more records than pages, a record outside [start, end), or
+// a range that is not a page-aligned interval — is rejected before any
+// frame is allocated.
+func TestReplPrepareBoundsFrames(t *testing.T) {
+	c := newCluster(t, 1)
+	k, m := c.kernels[0], c.machines[0]
+	const start, end = uint64(0x100000), uint64(0x102000) // two pages
+	prep := func(start, end uint64, vpns ...memsim.VPN) []byte {
+		req := appendReplicaKey(nil, replicaKey{origin: 1, id: 7, key: 42})
+		req = binary.LittleEndian.AppendUint64(req, 1) // gen
+		req = binary.LittleEndian.AppendUint64(req, start)
+		req = binary.LittleEndian.AppendUint64(req, end)
+		req = binary.LittleEndian.AppendUint32(req, uint32(len(vpns)))
+		for _, v := range vpns {
+			req = binary.LittleEndian.AppendUint64(req, uint64(v))
+			req = binary.LittleEndian.AppendUint64(req, 0) // producer PFN
+		}
+		return req
+	}
+	first := memsim.PageOf(start)
+	for _, tc := range []struct {
+		name string
+		req  []byte
+	}{
+		{"more records than pages", prep(start, end, first, first+1, first+2)},
+		{"record below start", prep(start, end, first-1, first)},
+		{"record at end", prep(start, end, first, first+2)},
+		{"inverted range", prep(end, start, first)},
+		{"unaligned end", prep(start, end+1, first, first+1, first+2)},
+		{"4096 records for one page", prep(start, start+memsim.PageSize, func() []memsim.VPN {
+			vpns := make([]memsim.VPN, 4096)
+			for i := range vpns {
+				vpns[i] = first + memsim.VPN(i)
+			}
+			return vpns
+		}()...)},
+	} {
+		live := m.LiveFrames()
+		if _, err := k.handleReplPrepare(simtime.NewMeter(), tc.req); !errors.Is(err, ErrRangeOutside) {
+			t.Errorf("%s: err = %v, want ErrRangeOutside", tc.name, err)
+		}
+		if got := m.LiveFrames(); got != live {
+			t.Errorf("%s: live frames %d -> %d, want unchanged", tc.name, live, got)
+		}
+	}
+	// The request a producer sends for the same range is accepted and
+	// allocates exactly one frame per record.
+	live := m.LiveFrames()
+	if _, err := k.handleReplPrepare(simtime.NewMeter(), prep(start, end, first, first+1)); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.LiveFrames(); got != live+2 {
+		t.Fatalf("live frames %d -> %d, want +2", live, got)
 	}
 }

@@ -281,6 +281,18 @@ func (k *Kernel) handleReplPrepare(m *simtime.Meter, req []byte) ([]byte, error)
 			return nil, fmt.Errorf("%w: replica prepare record %d", ErrRecordOrder, i)
 		}
 	}
+	// Every frame below is one the peer's own range accounts for: a
+	// page-aligned [start, end), no more records than it has pages, and
+	// every record inside it. Records are ordered, so the first and last
+	// bound them all.
+	if e.start%memsim.PageSize != 0 || e.end%memsim.PageSize != 0 || e.end < e.start ||
+		uint64(e.total) > (e.end-e.start)/memsim.PageSize {
+		return nil, fmt.Errorf("%w: replica prepare of %d pages for [%#x,%#x)", ErrRangeOutside, e.total, e.start, e.end)
+	}
+	if n := len(e.pages); n > 0 && (e.pages[0].vpn < memsim.PageOf(e.start) || e.pages[n-1].vpn >= memsim.PageOf(e.end)) {
+		return nil, fmt.Errorf("%w: replica prepare records [%#x,%#x] for [%#x,%#x)",
+			ErrRangeOutside, e.pages[0].vpn, e.pages[n-1].vpn, e.start, e.end)
+	}
 	resp := make([]byte, 0, 8*e.total)
 	for i := range e.pages {
 		e.pages[i].local = k.machine.AllocFrame()

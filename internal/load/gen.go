@@ -9,7 +9,7 @@ import (
 
 // Event is one scheduled submission: at virtual-time instant At, tenant
 // Tenant submits one workflow request with relative deadline Deadline
-// (0 = none, or the admission config's default).
+// (0 = none).
 type Event struct {
 	At       simtime.Time
 	Tenant   string

@@ -28,6 +28,13 @@ type Result struct {
 	// DeadlineSheds counts the sheds that were deadline expiries
 	// (queue-side or mid-run).
 	DeadlineSheds int
+	// Recovery sums the ladder's work over every finished request: replica
+	// failovers, producer re-executions, partition-wait retries and
+	// rmap→messaging degradations (RunResult's counters of the same names).
+	Failovers      int
+	Reexecs        int
+	PartitionWaits int
+	Fallbacks      int
 	// Horizon is the offered window (last arrival bound) the goodput rate
 	// is computed over; Drained is the virtual instant the run ended — the
 	// cluster went idle, or a closed loop reached its horizon.
@@ -179,6 +186,10 @@ func (res *Result) tenant(name string) *TenantStats {
 
 // record tallies one finished submission.
 func (res *Result) record(ts *TenantStats, r platform.RunResult) {
+	res.Failovers += r.Failovers
+	res.Reexecs += r.Reexecs
+	res.PartitionWaits += r.PartitionWaits
+	res.Fallbacks += r.Fallbacks
 	switch {
 	case r.Shed:
 		res.Shed++

@@ -39,11 +39,8 @@ const (
 	// MetricAdmitted counts requests the admission layer started.
 	MetricAdmitted = "rmmap_admission_admitted_total"
 	// MetricAdmissionSheds counts shed requests (label "reason":
-	// queue-full|quota|breaker|backpressure|deadline).
+	// queue-full|deadline|control-plane).
 	MetricAdmissionSheds = "rmmap_admission_sheds_total"
-	// MetricBreakerTransitions counts tenant circuit-breaker state changes
-	// (label "to": open|half-open|closed).
-	MetricBreakerTransitions = "rmmap_admission_breaker_transitions_total"
 	// MetricColdStarts counts pod cold starts (first use of a freshly
 	// created pod when Options.ColdStart is on).
 	MetricColdStarts = "rmmap_pod_cold_starts_total"

@@ -14,12 +14,11 @@ import (
 
 // SubmitInfo identifies one multi-tenant submission.
 type SubmitInfo struct {
-	// Tenant names the submitting tenant (quotas and breakers are
-	// per-tenant; "" is the anonymous tenant).
+	// Tenant labels the request in its RunResult and ShedError ("" is the
+	// anonymous tenant). No admission decision reads it.
 	Tenant string
-	// Deadline is the request's relative deadline; 0 picks the admission
-	// config's DefaultDeadline (or none). A request whose deadline passes
-	// — in the queue or mid-run — is shed.
+	// Deadline is the request's relative deadline; 0 means none. A request
+	// whose deadline passes — in the queue or mid-run — is shed.
 	Deadline simtime.Duration
 }
 
@@ -37,13 +36,9 @@ type pendingSubmit struct {
 // applies the tenant label and deadline.
 func (e *Engine) SubmitTenant(info SubmitInfo, done func(RunResult)) {
 	now := e.Cluster.Sim.Now()
-	rel := info.Deadline
-	if rel == 0 && e.admitCtrl != nil {
-		rel = e.admitCtrl.Config().DefaultDeadline
-	}
 	var deadline simtime.Time
-	if rel > 0 {
-		deadline = now.Add(rel)
+	if info.Deadline > 0 {
+		deadline = now.Add(info.Deadline)
 	}
 	// Control-plane outage: a new submission would need registrations and
 	// reclamation journaled by a coordinator that cannot journal anything,
@@ -60,7 +55,7 @@ func (e *Engine) SubmitTenant(info SubmitInfo, done func(RunResult)) {
 	}
 	ps := &pendingSubmit{tenant: info.Tenant, deadline: deadline, submitted: now, done: done}
 	r := &admit.Request{Tenant: info.Tenant, Deadline: deadline, Payload: ps}
-	act, reason := e.admitCtrl.Submit(now, r, e.inflight, e.coord.Live())
+	act, reason := e.admitCtrl.Submit(0, r, e.inflight, 0)
 	e.publishAdmission()
 	switch act {
 	case admit.ActionRun:
@@ -70,7 +65,7 @@ func (e *Engine) SubmitTenant(info SubmitInfo, done func(RunResult)) {
 			// The queue-expiry timer: if the request is still queued at its
 			// deadline, shed it there instead of letting it rot until a pop.
 			e.Cluster.Sim.At(deadline, func() {
-				if _, ok := e.admitCtrl.Drop(e.Cluster.Sim.Now(), ps); ok {
+				if _, ok := e.admitCtrl.Drop(ps); ok {
 					e.publishAdmission()
 					e.finishShed(ps, admit.ReasonDeadline)
 				}
@@ -173,25 +168,10 @@ func (e *Engine) AdmissionQueueLen() int {
 	return e.admitCtrl.QueueLen()
 }
 
-// TenantBreaker reports a tenant's circuit-breaker state (BreakerClosed
-// without admission).
-func (e *Engine) TenantBreaker(tenant string) admit.BreakerState {
-	if e.admitCtrl == nil {
-		return admit.BreakerClosed
-	}
-	return e.admitCtrl.TenantBreaker(tenant)
-}
-
 // publishAdmission adds the admission counters accumulated since the last
-// call to Options.Obs (deltas, same scheme as collect's published struct)
-// and drains the breaker-transition log. Transitions are drained even
-// without a registry so the log cannot grow unboundedly.
+// call to Options.Obs (deltas, same scheme as collect's published struct).
 func (e *Engine) publishAdmission() {
-	if e.admitCtrl == nil {
-		return
-	}
-	trans := e.admitCtrl.TakeTransitions()
-	if e.opts.Obs == nil {
+	if e.admitCtrl == nil || e.opts.Obs == nil {
 		return
 	}
 	base := obs.Labels{"workflow": e.wf.Name, "mode": e.mode.String()}
@@ -203,13 +183,6 @@ func (e *Engine) publishAdmission() {
 		}
 	}
 	shed(admit.ReasonQueueFull, s.ShedQueueFull, e.pubAdmit.ShedQueueFull)
-	shed(admit.ReasonQuota, s.ShedQuota, e.pubAdmit.ShedQuota)
-	shed(admit.ReasonBreaker, s.ShedBreaker, e.pubAdmit.ShedBreaker)
-	shed(admit.ReasonBackpressure, s.ShedBackpressure, e.pubAdmit.ShedBackpressure)
 	shed(admit.ReasonDeadline, s.ShedDeadline, e.pubAdmit.ShedDeadline)
 	e.pubAdmit = s
-	for _, tr := range trans {
-		e.opts.Obs.Counter(obs.MetricBreakerTransitions,
-			base.With("to", tr.String())).Add(1)
-	}
 }

@@ -494,13 +494,10 @@ func (e *Engine) startRequest(tenant string, deadline simtime.Time, done func(Ru
 		e.inflight--
 		if e.admitCtrl != nil {
 			out := admit.OutcomeOK
-			switch {
-			case r.deadlineHit:
+			if r.deadlineHit {
 				out = admit.OutcomeDeadline
-			case r.err != nil:
-				out = admit.OutcomeError
 			}
-			e.admitCtrl.Record(e.Cluster.Sim.Now(), r.tenant, out)
+			e.admitCtrl.Record(0, "", out)
 			e.publishAdmission()
 		}
 		if done != nil {

@@ -106,12 +106,12 @@ type Options struct {
 	// re-execution, see RecoveryPolicy). nil means any transfer failure
 	// fails the request — the negative control for the chaos experiments.
 	Recovery *RecoveryPolicy
-	// Admission enables the overload-control layer (DESIGN.md §11):
-	// per-tenant quotas and circuit breakers, a bounded admission queue,
-	// backpressure watermarks, and per-request deadlines that propagate
-	// into the recovery ladder. nil disables admission entirely — Submit
-	// starts every request immediately, exactly the pre-admission
-	// behaviour.
+	// Admission enables the admission layer (DESIGN.md §11): at most
+	// MaxInflight requests run, later arrivals wait in a bounded FIFO queue
+	// and shed when it is full, and a request whose deadline passes in the
+	// queue is shed there. Deadlines propagate into the recovery ladder
+	// either way. nil disables admission entirely — Submit starts every
+	// request immediately.
 	Admission *admit.Config
 	// Replicas asynchronously replicates every registration's shadow
 	// frames to this many backup machines (clipped to machines-1) and

@@ -3,6 +3,7 @@ package rdma_test
 import (
 	"encoding/binary"
 	"errors"
+	"runtime"
 	"testing"
 
 	"rmmap/internal/kernel"
@@ -77,12 +78,29 @@ func TestDispatchBadPFN(t *testing.T) {
 	}
 }
 
+// TestReadMsgAllocatesAsBytesArrive: a 4-byte stream whose length prefix
+// promises a 32 MiB message, then ends, must not make the server allocate
+// the promised message; it used to allocate all 32 MiB before reading.
+func TestReadMsgAllocatesAsBytesArrive(t *testing.T) {
+	s := dispatchRig()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	errs := s.ServeBytes(u32(32 << 20))
+	runtime.ReadMemStats(&after)
+	if len(errs) != 0 {
+		t.Fatalf("a truncated message reached dispatch: %v", errs)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("ServeBytes allocated %d bytes for a 4-byte stream, want < 1 MiB", got)
+	}
+}
+
 // FuzzTCPDispatch feeds arbitrary byte streams to a TCP server's request
 // loop (readMsg, then dispatch, which reaches the kernel's RPC handlers).
 // Bytes off a socket must never take the process down: every malformed
 // request is an error reply. testdata/fuzz/FuzzTCPDispatch holds the
 // 21-byte opRead of PFN 1<<40 and the rmmap.page RPC for the same PFN,
-// both of which used to panic.
+// both of which used to panic, and the 4-byte prefix promising 32 MiB.
 func FuzzTCPDispatch(f *testing.F) {
 	for _, tc := range badPFNStreams {
 		f.Add(tc.stream)

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -292,19 +293,34 @@ func (s *TCPServer) dispatch(req []byte) ([]byte, error) {
 	}
 }
 
+// readStep is the most readMsg reads in one step, and so the most its
+// buffer runs ahead of the bytes that have arrived.
+const readStep = 64 << 10
+
+// readMsg reads one length-prefixed message. The length is a peer's
+// promise, not memory to commit: the buffer grows only as the body
+// arrives, so a 4-byte prefix promising 32 MiB costs one readStep.
 func readMsg(r io.Reader) ([]byte, error) {
 	var lenBuf [4]byte
 	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
 		return nil, err
 	}
 	hdr := wire.NewReader(lenBuf[:])
-	n := hdr.U32()
+	n := int(hdr.U32())
 	if n > 64<<20 {
 		return nil, fmt.Errorf("rdma/tcp: message too large: %d", n)
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, err
+	buf := make([]byte, 0, min(n, readStep))
+	for len(buf) < n {
+		step := min(n-len(buf), readStep)
+		buf = slices.Grow(buf, step)
+		if _, err := io.ReadFull(r, buf[len(buf):len(buf)+step]); err != nil {
+			if err == io.EOF && len(buf) > 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
+		}
+		buf = buf[:len(buf)+step]
 	}
 	return buf, nil
 }

@@ -1,7 +1,10 @@
 package rdma
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
+	"io"
 	"net"
 	"testing"
 	"time"
@@ -253,4 +256,41 @@ func TestTCPEpochEvictsStaleConnAfterReServe(t *testing.T) {
 		t.Fatalf("epoch bump did not evict the stale connection")
 	}
 	_ = srv
+}
+
+// TestReadMsgRoundTrip: messages shorter than, equal to and several times
+// readStep read back whole and in order, and a body cut short at a step
+// boundary or inside a step is io.ErrUnexpectedEOF, not a clean io.EOF.
+func TestReadMsgRoundTrip(t *testing.T) {
+	var stream bytes.Buffer
+	sizes := []int{0, 1, readStep, 3*readStep + 17}
+	for _, n := range sizes {
+		msg := make([]byte, n)
+		for i := range msg {
+			msg[i] = byte(i * 7)
+		}
+		if err := writeMsg(&stream, msg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, n := range sizes {
+		got, err := readMsg(&stream)
+		if err != nil || len(got) != n {
+			t.Fatalf("%d-byte message: read %d bytes, %v", n, len(got), err)
+		}
+		for i, b := range got {
+			if b != byte(i*7) {
+				t.Fatalf("%d-byte message: byte %d = %d", n, i, b)
+			}
+		}
+	}
+	if _, err := readMsg(&stream); err != io.EOF {
+		t.Fatalf("empty stream: %v, want io.EOF", err)
+	}
+	for _, body := range []int{readStep, readStep + 5} {
+		cut := append(binary.LittleEndian.AppendUint32(nil, 2*readStep), make([]byte, body)...)
+		if _, err := readMsg(bytes.NewReader(cut)); err != io.ErrUnexpectedEOF {
+			t.Fatalf("body cut after %d bytes: %v, want io.ErrUnexpectedEOF", body, err)
+		}
+	}
 }
